@@ -1,10 +1,9 @@
-"""Ablation benchmark: Prob-Pi solver choice and exact vs functional caching.
+"""Ablation benchmark: Algorithm 1's solver and exact vs functional caching.
 
 Two design choices called out in DESIGN.md are benchmarked here:
 
-* the Prob-Pi solver (projected gradient vs Frank-Wolfe vs SLSQP) -- all
-  three must reach essentially the same objective, with projected gradient
-  being the fastest at scale, and
+* Algorithm 1 with its projected-gradient Prob-Pi solver -- the converged
+  objective and iteration counts, and
 * functional caching vs exact caching with the *same* per-file allocation --
   the structural claim of Section III that functional caching is never
   worse.
@@ -21,7 +20,7 @@ from conftest import print_report, timed_run
 from repro.api import get_solver
 from repro.baselines.exact import popularity_allocation
 from repro.baselines.static import exact_vs_functional_bounds
-from repro.workloads.defaults import paper_default_model
+from repro.workloads.catalog import paper_default_model
 
 
 def _optimize(solver_name: str):
@@ -53,24 +52,6 @@ def test_ablation_projected_gradient(benchmark, scale):
         f"outer iterations = {outcome.outer_iterations}",
     )
     assert outcome.converged
-
-
-def test_ablation_frank_wolfe(benchmark, scale):
-    outcome, _ = timed_run(
-        benchmark,
-        "ablation_frank_wolfe",
-        scale,
-        _optimize,
-        "frank_wolfe",
-        metrics=_solver_metrics,
-    )
-    print_report(
-        "Ablation -- Prob-Pi solver: Frank-Wolfe",
-        f"objective = {outcome.final_objective:.4f} s, "
-        f"outer iterations = {outcome.outer_iterations}",
-    )
-    reference = _optimize("projected_gradient")
-    assert outcome.final_objective <= reference.final_objective * 1.10 + 1e-6
 
 
 def test_ablation_functional_vs_exact(benchmark, scale):

@@ -50,7 +50,7 @@ def main() -> None:
     cluster_optimal = CephLikeCluster(config)
     model = _analytical_model(cluster_optimal, arrival_rates, config)
     # Solvers are resolved through the repro.api registry (any registered
-    # backend -- projected_gradient, frank_wolfe, slsqp -- works here).
+    # solver works here; projected_gradient is the built-in one).
     solver = get_solver("projected_gradient")
     placement = solver.optimize(model, tolerance=0.5).placement
     object_pool_map = placement.cached_chunks()

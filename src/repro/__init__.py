@@ -37,7 +37,7 @@ Every figure/table of the paper is a registered experiment::
     fig4 = run_experiment("fig4", scale="fast")
 """
 
-from repro.core.algorithm import CacheOptimizer, optimize_cache_placement
+from repro.core.algorithm import CacheOptimizer
 from repro.core.model import FileSpec, StorageSystemModel
 from repro.core.placement import CachePlacement
 from repro.erasure.functional import FunctionalCacheCoder
@@ -78,7 +78,6 @@ __all__ = [
     "ResultCache",
     # core building blocks
     "CacheOptimizer",
-    "optimize_cache_placement",
     "StorageSystemModel",
     "FileSpec",
     "CachePlacement",

@@ -13,8 +13,8 @@ of a code change in the facade:
         ...
         return SimulationResult(...)
 
-Built-in components (the three Prob-Pi solvers, the event/batch simulation
-engines, the static/exact baselines and the paper's workloads) are
+Built-in components (Algorithm 1's projected-gradient solver, the event/batch
+simulation engines, the static/exact baselines and the paper's workloads) are
 registered at import time; the experiment registry is populated lazily by
 importing :mod:`repro.experiments`, whose modules register themselves.
 """
@@ -22,10 +22,11 @@ importing :mod:`repro.experiments`, whose modules register themselves.
 from __future__ import annotations
 
 import importlib
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
-from repro.exceptions import RegistryError
+from repro.exceptions import RegistryError, ScenarioError
 
 T = TypeVar("T")
 
@@ -129,15 +130,83 @@ class Registry(Generic[T]):
 # ----------------------------------------------------------------------
 
 
+class _KeywordParams:
+    """Eager validation of a spec's ``*_params`` against its callable.
+
+    The accepted names are the keyword parameters of the callable named by
+    ``_params_callable``, after its first ``_params_skip`` parameters (the
+    arguments the pipeline passes positionally) and minus
+    ``_params_reserved`` (keywords the pipeline passes itself).  A callable
+    with a ``**kwargs`` catch-all, or one that cannot be introspected,
+    accepts anything.  ``_params_kind`` and ``_params_field`` name the
+    component and the scenario field in the error message.
+    """
+
+    name: str
+    _params_callable = ""
+    _params_skip = 1
+    _params_reserved: Tuple[str, ...] = ()
+    _params_kind = ""
+    _params_field = ""
+
+    def _signature_parameters(self) -> Optional[List[inspect.Parameter]]:
+        try:
+            signature = inspect.signature(getattr(self, self._params_callable))
+        except (TypeError, ValueError):  # builtins / C callables
+            return None
+        return list(signature.parameters.values())
+
+    def accepted_params(self) -> Optional[Tuple[str, ...]]:
+        """The parameter names the callable accepts (``None`` = any)."""
+        parameters = self._signature_parameters()
+        if parameters is None or any(
+            parameter.kind is inspect.Parameter.VAR_KEYWORD
+            for parameter in parameters
+        ):
+            return None
+        return tuple(
+            parameter.name
+            for parameter in parameters[self._params_skip:]
+            if parameter.kind
+            in (
+                inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                inspect.Parameter.KEYWORD_ONLY,
+            )
+            and parameter.name not in self._params_reserved
+        )
+
+    def validate_params(self, params: Any) -> None:
+        """Fail fast with :class:`ScenarioError` on parameters not accepted."""
+        if not params:
+            return
+        accepted = self.accepted_params()
+        if accepted is None:
+            return
+        unknown = sorted(set(params) - set(accepted))
+        if unknown:
+            raise ScenarioError(
+                f"{self._params_kind} {self.name!r} does not accept "
+                f"{self._params_field} {unknown}; accepted parameters: "
+                f"{sorted(accepted) or '<none>'}"
+            )
+
+
 @dataclass(frozen=True)
-class SolverSpec:
+class SolverSpec(_KeywordParams):
     """A cache-optimization backend.
 
     ``optimize(model, **kwargs)`` must return an
     :class:`~repro.core.algorithm.OptimizationResult`; ``kwargs`` carry the
     scenario's ``tolerance``, optional ``warm_start`` / ``time_bin`` and any
-    ``solver_params``.
+    ``solver_params``.  The keyword names of ``optimize`` other than those
+    three become the accepted ``solver_params``, validated eagerly at
+    :class:`Scenario` construction.
     """
+
+    _params_callable = "optimize"
+    _params_reserved = ("tolerance", "warm_start", "time_bin")
+    _params_kind = "solver"
+    _params_field = "solver_params"
 
     name: str
     description: str
@@ -167,7 +236,7 @@ class BaselineSpec:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_KeywordParams):
     """A workload builder behind the unified :class:`Workload` protocol.
 
     ``builder(scenario, **workload_params)`` returns a
@@ -185,32 +254,21 @@ class WorkloadSpec:
     ``"non-stationary"`` or ``"trace"``.
     """
 
+    _params_callable = "builder"
+    _params_kind = "workload"
+    _params_field = "workload_params"
+
     name: str
     description: str
     builder: Callable[..., Any]
     kind: str = "stationary"
 
-    # ------------------------------------------------------------------
-    # Signature introspection
-    # ------------------------------------------------------------------
-
-    def _parameters(self) -> Optional[List[Any]]:
-        import inspect
-
-        try:
-            signature = inspect.signature(self.builder)
-        except (TypeError, ValueError):  # builtins / C callables
-            return None
-        return list(signature.parameters.values())
-
     @property
     def legacy(self) -> bool:
         """Whether the builder takes only the scenario (pre-protocol style)."""
-        parameters = self._parameters()
+        parameters = self._signature_parameters()
         if parameters is None:
             return True
-        import inspect
-
         extra = parameters[1:]
         return not extra and not any(
             parameter.kind is inspect.Parameter.VAR_KEYWORD
@@ -224,41 +282,9 @@ class WorkloadSpec:
         params itself), an un-introspectable callable, or a builder with a
         ``**kwargs`` catch-all.
         """
-        parameters = self._parameters()
-        if parameters is None or self.legacy:
+        if self.legacy:
             return None
-        import inspect
-
-        if any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters
-        ):
-            return None
-        return tuple(
-            parameter.name
-            for parameter in parameters[1:]
-            if parameter.kind
-            in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            )
-        )
-
-    def validate_params(self, params: Any) -> None:
-        """Fail fast on ``workload_params`` the builder does not accept."""
-        if not params:
-            return
-        accepted = self.accepted_params()
-        if accepted is None:
-            return
-        unknown = sorted(set(params) - set(accepted))
-        if unknown:
-            from repro.exceptions import ScenarioError
-
-            raise ScenarioError(
-                f"workload {self.name!r} does not accept workload_params "
-                f"{unknown}; accepted parameters: {sorted(accepted) or '<none>'}"
-            )
+        return super().accepted_params()
 
     # ------------------------------------------------------------------
     # Construction
@@ -280,7 +306,7 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(_KeywordParams):
     """A seeded fault-schedule generator for the failure suite.
 
     ``build(num_osds, horizon_ms, rng, service_ms, **params)`` must return a
@@ -293,53 +319,18 @@ class FaultSpec:
     at :class:`Scenario` construction.
     """
 
+    _params_callable = "build"
+    _params_skip = 4
+    _params_kind = "fault generator"
+    _params_field = "fault_params"
+
     name: str
     description: str
     build: Callable[..., Any]
 
-    def accepted_params(self) -> Optional[Tuple[str, ...]]:
-        """The ``fault_params`` names the generator accepts (``None`` = any)."""
-        import inspect
-
-        try:
-            signature = inspect.signature(self.build)
-        except (TypeError, ValueError):  # builtins / C callables
-            return None
-        parameters = list(signature.parameters.values())
-        if any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters
-        ):
-            return None
-        return tuple(
-            parameter.name
-            for parameter in parameters[4:]
-            if parameter.kind
-            in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            )
-        )
-
-    def validate_params(self, params: Any) -> None:
-        """Fail fast on ``fault_params`` the generator does not accept."""
-        if not params:
-            return
-        accepted = self.accepted_params()
-        if accepted is None:
-            return
-        unknown = sorted(set(params) - set(accepted))
-        if unknown:
-            from repro.exceptions import ScenarioError
-
-            raise ScenarioError(
-                f"fault generator {self.name!r} does not accept fault_params "
-                f"{unknown}; accepted parameters: {sorted(accepted) or '<none>'}"
-            )
-
 
 @dataclass(frozen=True)
-class ControllerSpec:
+class ControllerSpec(_KeywordParams):
     """An online re-optimization controller for the control subsystem.
 
     ``build(model, **params)`` must return a
@@ -350,49 +341,13 @@ class ControllerSpec:
     construction.
     """
 
+    _params_callable = "build"
+    _params_kind = "controller"
+    _params_field = "controller_params"
+
     name: str
     description: str
     build: Callable[..., Any]
-
-    def accepted_params(self) -> Optional[Tuple[str, ...]]:
-        """The ``controller_params`` names the builder accepts (``None`` = any)."""
-        import inspect
-
-        try:
-            signature = inspect.signature(self.build)
-        except (TypeError, ValueError):  # builtins / C callables
-            return None
-        parameters = list(signature.parameters.values())
-        if any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters
-        ):
-            return None
-        return tuple(
-            parameter.name
-            for parameter in parameters[1:]
-            if parameter.kind
-            in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            )
-        )
-
-    def validate_params(self, params: Any) -> None:
-        """Fail fast on ``controller_params`` the builder does not accept."""
-        if not params:
-            return
-        accepted = self.accepted_params()
-        if accepted is None:
-            return
-        unknown = sorted(set(params) - set(accepted))
-        if unknown:
-            from repro.exceptions import ScenarioError
-
-            raise ScenarioError(
-                f"controller {self.name!r} does not accept controller_params "
-                f"{unknown}; accepted parameters: {sorted(accepted) or '<none>'}"
-            )
 
 
 @dataclass(frozen=True)
@@ -741,29 +696,36 @@ def list_experiments() -> List[str]:
 def _register_builtin_solvers() -> None:
     from repro.core.algorithm import CacheOptimizer
 
-    descriptions = {
-        "projected_gradient": "Projected-gradient Prob-Pi solver (exact segmented projection; default)",
-        "frank_wolfe": "Frank-Wolfe (conditional-gradient) Prob-Pi solver",
-        "slsqp": "SciPy SLSQP Prob-Pi solver (slow reference implementation)",
-    }
+    def optimize(
+        model,
+        warm_start=None,
+        time_bin=None,
+        *,
+        tolerance=0.01,
+        max_outer_iterations=50,
+        rounding_fraction=0.3,
+        pi_max_iterations=120,
+        system=None,
+    ):
+        optimizer = CacheOptimizer(
+            model,
+            tolerance=tolerance,
+            max_outer_iterations=max_outer_iterations,
+            rounding_fraction=rounding_fraction,
+            pi_max_iterations=pi_max_iterations,
+            system=system,
+        )
+        return optimizer.optimize(initial_state=warm_start, time_bin=time_bin)
 
-    def make(solver_name: str) -> Callable[..., Any]:
-        def optimize(model, warm_start=None, time_bin=None, **kwargs):
-            requested = kwargs.setdefault("pi_solver", solver_name)
-            if requested != solver_name:
-                # A conflicting pi_solver in solver_params would silently run
-                # a different solver than the one all provenance reports.
-                raise RegistryError(
-                    f"solver {solver_name!r} cannot run with pi_solver={requested!r}; "
-                    f"select the solver by name instead"
-                )
-            optimizer = CacheOptimizer(model, **kwargs)
-            return optimizer.optimize(initial_state=warm_start, time_bin=time_bin)
-
-        return optimize
-
-    for solver_name, blurb in descriptions.items():
-        SOLVERS.register(solver_name, SolverSpec(solver_name, blurb, make(solver_name)))
+    SOLVERS.register(
+        "projected_gradient",
+        SolverSpec(
+            "projected_gradient",
+            "Algorithm 1 with the projected-gradient Prob-Pi solver "
+            "(exact segmented projection)",
+            optimize,
+        ),
+    )
 
 
 def _register_builtin_engines() -> None:

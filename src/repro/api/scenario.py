@@ -54,7 +54,8 @@ class Scenario:
         cache policy is warmed on a seeded trace and its chunk-occupancy
         snapshot becomes the placement.
     solver:
-        Registered Prob-Pi solver, used when ``policy == "optimal"``.
+        Registered cache-optimization solver, used when
+        ``policy == "optimal"``.
     engine:
         Registered simulation engine (sweeps default to ``"batch"``).
     backend:
@@ -80,7 +81,8 @@ class Scenario:
     workload_params:
         Extra keyword arguments for the workload builder.
     solver_params:
-        Extra keyword arguments for the solver (e.g. ``pi_max_iterations``).
+        Extra keyword arguments for the solver (e.g. ``pi_max_iterations``),
+        validated against the solver's signature at construction.
     policy_params:
         Extra keyword arguments for a registered cache policy (e.g.
         ``ttl`` for the TTL policy); only valid with a cache policy.
@@ -196,12 +198,12 @@ class Scenario:
 
     def _validate(self) -> None:
         # Registry lookups raise RegistryError listing the known names.
-        # The workload builder's signature then vets workload_params eagerly,
-        # so an unknown parameter fails at construction time (listing the
-        # accepted names) instead of deep inside a run.
+        # The workload builder's and solver's signatures then vet their
+        # params eagerly, so an unknown parameter fails at construction time
+        # (listing the accepted names) instead of deep inside a run.
         WORKLOADS.get(self.workload).validate_params(self.workload_params)
         ENGINES.get(self.engine)
-        SOLVERS.get(self.solver)
+        SOLVERS.get(self.solver).validate_params(self.solver_params)
         KERNEL_BACKENDS.get(self.backend)
         if (
             self.policy != OPTIMAL_POLICY

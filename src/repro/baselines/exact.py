@@ -10,15 +10,51 @@ checked quantitatively in simulations and benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.core.bound import SolutionState
+import numpy as np
+
 from repro.core.model import StorageSystemModel
 from repro.core.placement import CachePlacement, FilePlacement
-from repro.core.vectorized import VectorizedSystem
+from repro.core.vectorized import SolutionState, VectorizedSystem
 from repro.exceptions import ModelError
-from repro.queueing.order_stats import latency_upper_bound
-from repro.core.bound import node_moments
+
+
+def placement_with_bounds(
+    model: StorageSystemModel,
+    probabilities: List[Dict[int, float]],
+    cached_chunks: Sequence[int],
+    metadata: Optional[Dict[str, float]] = None,
+) -> CachePlacement:
+    """A :class:`CachePlacement` for a fixed schedule and cache allocation.
+
+    Each file's Lemma-1 bound is minimised over its own ``z_i`` by
+    :class:`VectorizedSystem`; a file that fetches nothing from storage
+    (every ``pi_{i,j} = 0``) has bound 0.
+    """
+    system = VectorizedSystem(model)
+    pi = system.from_state(SolutionState(probabilities=probabilities))
+    bounds = system.per_file_bounds(pi, system.optimal_z(pi))
+    files = [
+        FilePlacement(
+            file_id=spec.file_id,
+            cached_chunks=int(cached),
+            scheduling_probabilities=dict(file_probs),
+            latency_bound=float(bound),
+            arrival_rate=spec.arrival_rate,
+            k=spec.k,
+            n=spec.n,
+        )
+        for spec, file_probs, cached, bound in zip(
+            model.files, probabilities, cached_chunks, bounds
+        )
+    ]
+    return CachePlacement(
+        files=files,
+        objective=float(np.dot(system.weights, bounds)),
+        cache_capacity=model.cache_capacity,
+        metadata=dict(metadata or {}),
+    )
 
 
 class ExactCachingPolicy:
@@ -110,42 +146,15 @@ class ExactCachingPolicy:
 
     def latency_bounds(self) -> Dict[str, float]:
         """Per-file Lemma-1 bounds under uniform scheduling on usable nodes."""
-        state = self.to_solution_state()
-        moments = node_moments(self._model, state)
-        bounds: Dict[str, float] = {}
-        for spec, file_probs in zip(self._model.files, state.probabilities):
-            relevant = {j: moments[j] for j in file_probs}
-            if file_probs:
-                bounds[spec.file_id] = latency_upper_bound(file_probs, relevant)
-            else:
-                bounds[spec.file_id] = 0.0
-        return bounds
+        placement = self.to_placement()
+        return {entry.file_id: entry.latency_bound for entry in placement.files}
 
     def to_placement(self) -> CachePlacement:
         """Express the policy as a :class:`CachePlacement` for the simulator."""
-        state = self.to_solution_state()
-        bounds = self.latency_bounds()
-        files = []
-        total_rate = self._model.total_arrival_rate
-        objective = 0.0
-        for spec, file_probs in zip(self._model.files, state.probabilities):
-            bound = bounds[spec.file_id]
-            objective += spec.arrival_rate / total_rate * bound
-            files.append(
-                FilePlacement(
-                    file_id=spec.file_id,
-                    cached_chunks=self._allocation[spec.file_id],
-                    scheduling_probabilities=dict(file_probs),
-                    latency_bound=bound,
-                    arrival_rate=spec.arrival_rate,
-                    k=spec.k,
-                    n=spec.n,
-                )
-            )
-        return CachePlacement(
-            files=files,
-            objective=objective,
-            cache_capacity=self._model.cache_capacity,
+        return placement_with_bounds(
+            self._model,
+            self.to_solution_state().probabilities,
+            [self._allocation[spec.file_id] for spec in self._model.files],
             metadata={"policy": 1.0},
         )
 

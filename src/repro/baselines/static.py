@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.baselines.exact import ExactCachingPolicy
-from repro.core.bound import SolutionState, node_moments
+from repro.baselines.exact import ExactCachingPolicy, placement_with_bounds
 from repro.core.model import StorageSystemModel
-from repro.core.placement import CachePlacement, FilePlacement
-from repro.queueing.order_stats import latency_upper_bound
+from repro.core.placement import CachePlacement
 
 
 def functional_placement_from_allocation(
@@ -37,34 +35,8 @@ def functional_placement_from_allocation(
         d = allocation.get(spec.file_id, 0)
         pi = (spec.k - d) / spec.n
         probabilities.append({node_id: pi for node_id in spec.placement})
-    state = SolutionState(
-        probabilities=probabilities, z_values=[0.0] * model.num_files
-    )
-    moments = node_moments(model, state)
-    files = []
-    total_rate = model.total_arrival_rate
-    objective = 0.0
-    for spec, file_probs in zip(model.files, state.probabilities):
-        relevant = {j: moments[j] for j in file_probs}
-        if any(pi > 0 for pi in file_probs.values()):
-            bound = latency_upper_bound(file_probs, relevant)
-        else:
-            bound = 0.0
-        objective += spec.arrival_rate / total_rate * bound
-        files.append(
-            FilePlacement(
-                file_id=spec.file_id,
-                cached_chunks=allocation.get(spec.file_id, 0),
-                scheduling_probabilities=dict(file_probs),
-                latency_bound=bound,
-                arrival_rate=spec.arrival_rate,
-                k=spec.k,
-                n=spec.n,
-            )
-        )
-    return CachePlacement(
-        files=files, objective=objective, cache_capacity=model.cache_capacity
-    )
+    cached = [allocation.get(spec.file_id, 0) for spec in model.files]
+    return placement_with_bounds(model, probabilities, cached)
 
 
 def no_cache_placement(model: StorageSystemModel) -> CachePlacement:

@@ -413,7 +413,7 @@ class OnlineResolver:
                     z,
                     lower,
                     upper,
-                    warm_start=self._pi,
+                    initial_pi=self._pi,
                     projector=projection,
                     max_iterations=self._fista_iterations,
                     tolerance=self._fista_tolerance,
@@ -427,7 +427,7 @@ class OnlineResolver:
                     z,
                     lower,
                     upper,
-                    warm_start=reduced.pi,
+                    initial_pi=reduced.pi,
                     max_iterations=self._verify_iterations,
                     tolerance=self._fista_tolerance,
                     check_window=self._check_window,
@@ -447,7 +447,7 @@ class OnlineResolver:
                         z,
                         lower,
                         upper,
-                        warm_start=verified.pi,
+                        initial_pi=verified.pi,
                         max_iterations=self._fista_iterations,
                         tolerance=self._fista_tolerance,
                         check_window=self._check_window,
@@ -465,7 +465,7 @@ class OnlineResolver:
                 z,
                 lower,
                 upper,
-                warm_start=system.initial_pi(),
+                initial_pi=system.initial_pi(),
                 max_iterations=self._fista_iterations,
                 tolerance=self._fista_tolerance,
                 check_window=self._check_window,
@@ -488,7 +488,7 @@ class OnlineResolver:
                 z,
                 lower,
                 upper,
-                warm_start=pi,
+                initial_pi=pi,
                 max_iterations=self._fista_iterations,
                 tolerance=self._fista_tolerance,
                 check_window=self._check_window,
@@ -514,7 +514,7 @@ class OnlineResolver:
             z,
             pinned_sums,
             pinned_sums,
-            warm_start=pi,
+            initial_pi=pi,
             max_iterations=self._fista_iterations,
             tolerance=self._fista_tolerance,
             check_window=self._check_window,

@@ -5,8 +5,9 @@ Public entry points:
 
 * :class:`repro.core.model.StorageSystemModel` -- files, codes, placement,
   server service distributions and per-file arrival rates.
-* :func:`repro.core.bound.system_objective` -- the weighted latency bound of
-  Eq. (6) for a candidate solution.
+* :class:`repro.core.vectorized.VectorizedSystem` -- the weighted latency
+  bound of Eq. (6), its gradient and the per-file bounds for a candidate
+  solution, plus the Prob-Z solve and the Prob-Pi polytope projection.
 * :class:`repro.core.algorithm.CacheOptimizer` -- Algorithm 1 (alternating
   minimization with iterative integer rounding).
 * :class:`repro.core.placement.CachePlacement` -- the optimized placement,
@@ -16,7 +17,7 @@ Public entry points:
 """
 
 from repro.core.model import FileSpec, StorageSystemModel
-from repro.core.bound import SolutionState, system_objective, per_file_bounds
+from repro.core.vectorized import SolutionState
 from repro.core.algorithm import CacheOptimizer, OptimizationResult
 from repro.core.placement import CachePlacement
 from repro.core.timebins import TimeBin, TimeBinScheduler, CacheContentDelta
@@ -25,8 +26,6 @@ __all__ = [
     "FileSpec",
     "StorageSystemModel",
     "SolutionState",
-    "system_objective",
-    "per_file_bounds",
     "CacheOptimizer",
     "OptimizationResult",
     "CachePlacement",

@@ -22,23 +22,15 @@ The implementation operates on the vectorised system for speed and returns a
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from repro.core.bound import SolutionState
 from repro.core.model import StorageSystemModel
 from repro.core.placement import CachePlacement, FilePlacement
-from repro.core.prob_pi import (
-    ProbPiResult,
-    solve_fista,
-    solve_frank_wolfe,
-    solve_projected_gradient,
-    solve_slsqp,
-)
-from repro.core.vectorized import VectorizedSystem
+from repro.core.prob_pi import solve_projected_gradient
+from repro.core.vectorized import SolutionState, VectorizedSystem
 from repro.exceptions import OptimizationError
 
 
@@ -75,10 +67,9 @@ class CacheOptimizer:
         paper rounds one file at a time but notes that rounding a ``ceil``
         of a fixed fraction gives an ``O(log r)`` inner loop; 0 selects the
         single-file variant.
-    pi_solver:
-        ``"projected_gradient"`` (default), ``"frank_wolfe"`` or ``"slsqp"``.
     pi_max_iterations:
-        Iteration cap handed to the Prob-Pi solver.
+        Iteration cap handed to the Prob-Pi solver
+        (:func:`~repro.core.prob_pi.solve_projected_gradient`).
     system:
         Optional precompiled :class:`VectorizedSystem` to reuse.  Sweeps
         that solve the same instance for many cache sizes or arrival-rate
@@ -93,7 +84,6 @@ class CacheOptimizer:
         tolerance: float = 0.01,
         max_outer_iterations: int = 50,
         rounding_fraction: float = 0.3,
-        pi_solver: str = "projected_gradient",
         pi_max_iterations: int = 120,
         system: Optional[VectorizedSystem] = None,
     ):
@@ -101,14 +91,11 @@ class CacheOptimizer:
             raise OptimizationError("tolerance must be positive")
         if not 0.0 <= rounding_fraction < 1.0:
             raise OptimizationError("rounding_fraction must lie in [0, 1)")
-        if pi_solver not in {"projected_gradient", "fista", "frank_wolfe", "slsqp"}:
-            raise OptimizationError(f"unknown Prob-Pi solver {pi_solver!r}")
         self._model = model
         self._system = system.rebind(model) if system is not None else VectorizedSystem(model)
         self._tolerance = float(tolerance)
         self._max_outer_iterations = int(max_outer_iterations)
         self._rounding_fraction = float(rounding_fraction)
-        self._pi_solver = pi_solver
         self._pi_max_iterations = int(pi_max_iterations)
 
     @property
@@ -120,53 +107,6 @@ class CacheOptimizer:
     def system(self) -> VectorizedSystem:
         """The compiled vectorised system."""
         return self._system
-
-    # ------------------------------------------------------------------
-    # Sub-problem dispatch
-    # ------------------------------------------------------------------
-
-    def _solve_pi(
-        self,
-        z: np.ndarray,
-        lower_sums: np.ndarray,
-        upper_sums: np.ndarray,
-        initial_pi: np.ndarray,
-    ) -> ProbPiResult:
-        if self._pi_solver == "projected_gradient":
-            return solve_projected_gradient(
-                self._system,
-                z,
-                lower_sums,
-                upper_sums,
-                initial_pi=initial_pi,
-                max_iterations=self._pi_max_iterations,
-            )
-        if self._pi_solver == "fista":
-            return solve_fista(
-                self._system,
-                z,
-                lower_sums,
-                upper_sums,
-                initial_pi=initial_pi,
-                max_iterations=self._pi_max_iterations,
-            )
-        if self._pi_solver == "frank_wolfe":
-            return solve_frank_wolfe(
-                self._system,
-                z,
-                lower_sums,
-                upper_sums,
-                initial_pi=initial_pi,
-                max_iterations=self._pi_max_iterations,
-            )
-        return solve_slsqp(
-            self._system,
-            z,
-            lower_sums,
-            upper_sums,
-            initial_pi=initial_pi,
-            max_iterations=self._pi_max_iterations,
-        )
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -230,7 +170,14 @@ class CacheOptimizer:
             fixed_file = np.zeros(system.num_files, dtype=bool)
             current_pi = pi.copy()
             for _ in range(system.num_files + 1):
-                result = self._solve_pi(z, lower_sums, upper_sums, current_pi)
+                result = solve_projected_gradient(
+                    system,
+                    z,
+                    lower_sums,
+                    upper_sums,
+                    initial_pi=current_pi,
+                    max_iterations=self._pi_max_iterations,
+                )
                 inner_solves += 1
                 current_pi = result.pi
                 sums = system.file_sums(current_pi)
@@ -406,25 +353,3 @@ def build_placement(
     placement.validate_against(model)
     return placement
 
-
-def optimize_cache_placement(
-    model: StorageSystemModel,
-    tolerance: float = 0.01,
-    warm_start: Optional[SolutionState] = None,
-    time_bin: Optional[int] = None,
-    **optimizer_kwargs,
-) -> OptimizationResult:
-    """Deprecated convenience wrapper: build a :class:`CacheOptimizer`, run it.
-
-    .. deprecated:: 1.1.0
-        Use ``CacheOptimizer(model, ...).optimize(...)`` directly, or the
-        declarative facade ``repro.api.run_scenario(Scenario(...))``.
-    """
-    warnings.warn(
-        "optimize_cache_placement() is deprecated; use "
-        "CacheOptimizer(model, ...).optimize(...) or repro.api.run_scenario()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    optimizer = CacheOptimizer(model, tolerance=tolerance, **optimizer_kwargs)
-    return optimizer.optimize(initial_state=warm_start, time_bin=time_bin)

@@ -8,25 +8,21 @@ the scheduling probabilities ``pi_{i,j}`` over the polytope
     sum_i (k_i - sum_j pi_{i,j}) <= C.
 
 The paper solves this with projected gradient descent, using MOSEK for the
-projection step.  We provide three interchangeable solvers:
+projection step.  Both solvers here use the exact polytope projection
+implemented in :class:`repro.core.vectorized.VectorizedSystem`:
 
-* :func:`solve_projected_gradient` (default) -- Armijo-backtracking projected
-  gradient descent using the exact polytope projection implemented in
-  :class:`repro.core.vectorized.VectorizedSystem`.
-* :func:`solve_frank_wolfe` -- the conditional-gradient method whose linear
-  minimisation oracle over this polytope has a closed-form greedy solution;
-  useful as an independent cross-check and for ablation benchmarks.
+* :func:`solve_projected_gradient` -- Armijo-backtracking projected
+  gradient descent, the Prob-Pi step of Algorithm 1
+  (:class:`repro.core.algorithm.CacheOptimizer`).
 * :func:`solve_fista` -- accelerated projected gradient (FISTA with a
   monotone restart and backtracking Lipschitz estimation), the workhorse of
   the online re-solver in :mod:`repro.control.resolve`; it accepts a custom
   ``projector`` so warm-started solves can project over a reduced active
   set.
-* :func:`solve_slsqp` -- ``scipy.optimize`` SLSQP for small instances, used
-  by the test-suite to validate the two first solvers.
 
-Every solver takes a ``warm_start=`` alias for ``initial_pi``: the online
-controller passes the previous bin's converged iterate here, which is what
-makes per-drift re-solves cheap relative to cold starts.
+Both take the starting point as ``initial_pi``: the online controller passes
+the previous bin's converged iterate there, which is what makes per-drift
+re-solves cheap relative to cold starts.
 """
 
 from __future__ import annotations
@@ -64,7 +60,6 @@ def solve_projected_gradient(
     max_iterations: int = 120,
     tolerance: float = 1e-6,
     initial_step: float = 1.0,
-    warm_start: Optional[np.ndarray] = None,
 ) -> ProbPiResult:
     """Projected gradient descent with Armijo backtracking.
 
@@ -80,12 +75,7 @@ def solve_projected_gradient(
         Warm-start point; defaults to the projected no-cache start.
     fixed_mask, fixed_values:
         Per-pair coordinates frozen by the integer-rounding outer loop.
-    warm_start:
-        Alias for ``initial_pi`` (takes precedence when both are given);
-        the online re-solver passes the previous bin's iterate here.
     """
-    if warm_start is not None:
-        initial_pi = warm_start
     if initial_pi is None:
         initial_pi = system.initial_pi()
     pi = system.project(initial_pi, lower_sums, upper_sums, fixed_mask, fixed_values)
@@ -155,7 +145,6 @@ def solve_fista(
     check_window: int = 20,
     initial_lipschitz: float = 1.0,
     projector: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    warm_start: Optional[np.ndarray] = None,
 ) -> ProbPiResult:
     """Accelerated projected gradient (FISTA) with a monotone restart.
 
@@ -181,14 +170,10 @@ def solve_fista(
         re-solver passes a reduced active-set projector here so warm
         solves only pay for the coordinates the previous solution left
         strictly inside the box.
-    warm_start:
-        Alias for ``initial_pi`` (takes precedence when both are given).
     initial_lipschitz:
         Starting value of the backtracked Lipschitz estimate; pass the
         ``lipschitz`` field of a previous result to skip the warm-up.
     """
-    if warm_start is not None:
-        initial_pi = warm_start
     if initial_pi is None:
         initial_pi = system.initial_pi()
     if projector is None:
@@ -256,227 +241,4 @@ def solve_fista(
         iterations=iterations_used,
         converged=converged,
         lipschitz=lipschitz,
-    )
-
-
-def solve_frank_wolfe(
-    system: VectorizedSystem,
-    z: np.ndarray,
-    lower_sums: np.ndarray,
-    upper_sums: np.ndarray,
-    initial_pi: Optional[np.ndarray] = None,
-    fixed_mask: Optional[np.ndarray] = None,
-    fixed_values: Optional[np.ndarray] = None,
-    max_iterations: int = 300,
-    tolerance: float = 1e-6,
-    warm_start: Optional[np.ndarray] = None,
-) -> ProbPiResult:
-    """Frank-Wolfe (conditional gradient) solver.
-
-    The linear minimisation oracle over the Prob-Pi polytope has a greedy
-    solution: each file first takes its mandatory ``K_L,i`` units on its
-    cheapest coordinates, all remaining negative-cost coordinates are added
-    up to the per-file caps, and if the coupling constraint
-    ``sum pi >= T`` is still violated the globally cheapest remaining
-    coordinates are raised until it holds.  ``warm_start`` is an alias for
-    ``initial_pi`` (takes precedence when both are given).
-    """
-    if warm_start is not None:
-        initial_pi = warm_start
-    if initial_pi is None:
-        initial_pi = system.initial_pi()
-    pi = system.project(initial_pi, lower_sums, upper_sums, fixed_mask, fixed_values)
-    objective = system.objective(pi, z)
-    converged = False
-    iterations_used = 0
-    for iteration in range(max_iterations):
-        iterations_used = iteration + 1
-        _, gradient = system.objective_and_gradient(pi, z)
-        vertex = _linear_oracle(
-            system, gradient, lower_sums, upper_sums, fixed_mask, fixed_values
-        )
-        direction = vertex - pi
-        gap = float(-np.dot(gradient, direction))
-        if gap < tolerance:
-            converged = True
-            break
-        # Exact-ish line search over the segment via golden-section.
-        step = _line_search(system, pi, direction, z)
-        if step <= 0.0:
-            converged = True
-            break
-        pi = pi + step * direction
-        new_objective = system.objective(pi, z)
-        if objective - new_objective < tolerance * max(abs(objective), 1.0):
-            objective = new_objective
-            converged = True
-            break
-        objective = new_objective
-    return ProbPiResult(
-        pi=pi, objective=objective, iterations=iterations_used, converged=converged
-    )
-
-
-def _linear_oracle(
-    system: VectorizedSystem,
-    costs: np.ndarray,
-    lower_sums: np.ndarray,
-    upper_sums: np.ndarray,
-    fixed_mask: Optional[np.ndarray],
-    fixed_values: Optional[np.ndarray],
-) -> np.ndarray:
-    """Minimise ``costs . pi`` over the Prob-Pi polytope (greedy solution)."""
-    num_pairs = system.num_pairs
-    if fixed_mask is None:
-        fixed_mask = np.zeros(num_pairs, dtype=bool)
-    if fixed_values is None:
-        fixed_values = np.zeros(num_pairs, dtype=float)
-
-    pi = np.zeros(num_pairs, dtype=float)
-    pi[fixed_mask] = fixed_values[fixed_mask]
-
-    order = np.argsort(costs, kind="stable")
-    file_totals = system.file_sums(pi)
-
-    # Phase 1: per-file mandatory minimum K_L using the cheapest coordinates.
-    for pair_index in order:
-        if fixed_mask[pair_index]:
-            continue
-        file_position = int(system.pair_file[pair_index])
-        deficit = lower_sums[file_position] - file_totals[file_position]
-        if deficit <= 1e-12:
-            continue
-        amount = min(1.0, deficit)
-        pi[pair_index] = amount
-        file_totals[file_position] += amount
-
-    # Phase 2: negative-cost coordinates are profitable on their own.
-    for pair_index in order:
-        if fixed_mask[pair_index] or costs[pair_index] >= 0.0:
-            continue
-        file_position = int(system.pair_file[pair_index])
-        headroom = upper_sums[file_position] - file_totals[file_position]
-        if headroom <= 1e-12:
-            continue
-        extra = min(1.0 - pi[pair_index], headroom)
-        if extra <= 0.0:
-            continue
-        pi[pair_index] += extra
-        file_totals[file_position] += extra
-
-    # Phase 3: meet the coupling constraint sum(pi) >= T as cheaply as possible.
-    target_total = system.required_total()
-    total = float(pi.sum())
-    if total < target_total - 1e-9:
-        for pair_index in order:
-            if fixed_mask[pair_index]:
-                continue
-            file_position = int(system.pair_file[pair_index])
-            headroom = upper_sums[file_position] - file_totals[file_position]
-            slack = min(1.0 - pi[pair_index], headroom)
-            if slack <= 1e-12:
-                continue
-            add = min(slack, target_total - total)
-            pi[pair_index] += add
-            file_totals[file_position] += add
-            total += add
-            if total >= target_total - 1e-9:
-                break
-        if total < target_total - 1e-6:
-            raise OptimizationError(
-                "linear oracle could not satisfy the cache-capacity constraint"
-            )
-    return pi
-
-
-def _line_search(
-    system: VectorizedSystem,
-    pi: np.ndarray,
-    direction: np.ndarray,
-    z: np.ndarray,
-    iterations: int = 40,
-) -> float:
-    """Golden-section line search for the Frank-Wolfe step in [0, 1]."""
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    low, high = 0.0, 1.0
-    point_a = high - golden * (high - low)
-    point_b = low + golden * (high - low)
-    value_a = system.objective(pi + point_a * direction, z)
-    value_b = system.objective(pi + point_b * direction, z)
-    for _ in range(iterations):
-        if value_a < value_b:
-            high = point_b
-            point_b, value_b = point_a, value_a
-            point_a = high - golden * (high - low)
-            value_a = system.objective(pi + point_a * direction, z)
-        else:
-            low = point_a
-            point_a, value_a = point_b, value_b
-            point_b = low + golden * (high - low)
-            value_b = system.objective(pi + point_b * direction, z)
-    best = 0.5 * (low + high)
-    if system.objective(pi + best * direction, z) >= system.objective(pi, z):
-        return 0.0
-    return best
-
-
-def solve_slsqp(
-    system: VectorizedSystem,
-    z: np.ndarray,
-    lower_sums: np.ndarray,
-    upper_sums: np.ndarray,
-    initial_pi: Optional[np.ndarray] = None,
-    max_iterations: int = 200,
-    warm_start: Optional[np.ndarray] = None,
-) -> ProbPiResult:
-    """Solve Prob Pi with ``scipy.optimize`` SLSQP (small instances only)."""
-    from scipy import optimize
-
-    if warm_start is not None:
-        initial_pi = warm_start
-    if initial_pi is None:
-        initial_pi = system.initial_pi()
-    initial_pi = system.project(initial_pi, lower_sums, upper_sums)
-
-    def objective(pi: np.ndarray) -> float:
-        return system.objective(pi, z)
-
-    def gradient(pi: np.ndarray) -> np.ndarray:
-        return system.objective_and_gradient(pi, z)[1]
-
-    constraints = []
-    target_total = system.required_total()
-    constraints.append(
-        {"type": "ineq", "fun": lambda pi: float(pi.sum()) - target_total}
-    )
-    for file_position in range(system.num_files):
-        mask = system.pair_file == file_position
-        constraints.append(
-            {
-                "type": "ineq",
-                "fun": (lambda pi, m=mask, u=float(upper_sums[file_position]): u - float(pi[m].sum())),
-            }
-        )
-        constraints.append(
-            {
-                "type": "ineq",
-                "fun": (lambda pi, m=mask, l=float(lower_sums[file_position]): float(pi[m].sum()) - l),
-            }
-        )
-    bounds = [(0.0, 1.0)] * system.num_pairs
-    result = optimize.minimize(
-        objective,
-        initial_pi,
-        jac=gradient,
-        bounds=bounds,
-        constraints=constraints,
-        method="SLSQP",
-        options={"maxiter": max_iterations, "ftol": 1e-9},
-    )
-    pi = np.clip(result.x, 0.0, 1.0)
-    return ProbPiResult(
-        pi=pi,
-        objective=float(result.fun),
-        iterations=int(result.nit),
-        converged=bool(result.success),
     )

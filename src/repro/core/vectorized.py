@@ -1,11 +1,11 @@
 """Vectorised evaluation of the Eq. (6) objective and its gradient.
 
-The reference implementation in :mod:`repro.core.bound` works with per-file
-dictionaries, which is convenient for small examples and unit tests but too
-slow for the paper-scale instances (1000 files x 7 chunk placements).  This
-module compiles a :class:`~repro.core.model.StorageSystemModel` into flat
-numpy arrays indexed by (file, node) *pairs* -- one entry for every
-``pi_{i,j}`` with ``j in S_i`` -- and provides:
+Per-file dictionaries (:class:`SolutionState`) are convenient for small
+examples and warm starts but too slow for the paper-scale instances (1000
+files x 7 chunk placements).  This module compiles a
+:class:`~repro.core.model.StorageSystemModel` into flat numpy arrays
+indexed by (file, node) *pairs* -- one entry for every ``pi_{i,j}`` with
+``j in S_i`` -- and provides:
 
 * node arrival rates, M/G/1 moments and their derivatives,
 * the weighted latency objective and its gradient with respect to ``pi``,
@@ -14,17 +14,19 @@ numpy arrays indexed by (file, node) *pairs* -- one entry for every
   ``{0 <= pi <= 1, K_L,i <= sum_j pi_{i,j} <= K_U,i, sum_i,j pi_{i,j} >= T}``
   where ``T = sum_i k_i - C`` encodes the cache-capacity constraint.
 
-The tests in ``tests/core/test_vectorized.py`` verify that the vectorised
-objective agrees with the dictionary-based reference implementation.
+This is the only evaluator of the bound in the library: Algorithm 1, the
+online re-solver and the static/exact baselines all go through it.  The
+tests in ``tests/core/test_vectorized.py`` verify that it agrees with the
+dictionary-based scalar oracle kept in ``tests/scalar_oracle.py``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bound import SolutionState
 from repro.core.model import StorageSystemModel
 from repro.exceptions import InfeasibleError, OptimizationError
 from repro.kernels import segment_max, segment_sum
@@ -32,6 +34,44 @@ from repro.kernels import segment_max, segment_sum
 #: Utilisation clamp used to keep the objective finite (and extremely large)
 #: when a candidate point drives a node beyond its stability region.
 _RHO_CLAMP = 1.0 - 1e-7
+
+
+@dataclass
+class SolutionState:
+    """A candidate solution of the cache optimization.
+
+    Attributes
+    ----------
+    probabilities:
+        One mapping per file (aligned with the model's file order) from node
+        id to the scheduling probability ``pi_{i,j}``.
+    z_values:
+        Per-file auxiliary variables ``z_i``.
+    """
+
+    probabilities: List[Dict[int, float]]
+    z_values: List[float] = field(default_factory=list)
+
+    def copy(self) -> "SolutionState":
+        """Deep copy of the candidate solution."""
+        return SolutionState(
+            probabilities=[dict(p) for p in self.probabilities],
+            z_values=list(self.z_values),
+        )
+
+    def cache_allocation(self, model: StorageSystemModel) -> List[float]:
+        """Return per-file cache allocations ``d_i = k_i - sum_j pi_{i,j}``.
+
+        Fractional values are possible before the integer rounding finishes.
+        """
+        allocations = []
+        for spec, file_probs in zip(model.files, self.probabilities):
+            allocations.append(spec.k - sum(file_probs.values()))
+        return allocations
+
+    def total_cache_usage(self, model: StorageSystemModel) -> float:
+        """Total (possibly fractional) number of cached chunks."""
+        return sum(max(d, 0.0) for d in self.cache_allocation(model))
 
 
 def _piecewise_clip_sum_inverse(

@@ -15,10 +15,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.api.deprecation import deprecated_entry_point
 from repro.api.experiments import register_experiment
 from repro.core.algorithm import CacheOptimizer
-from repro.core.bound import SolutionState
-from repro.core.vectorized import VectorizedSystem
+from repro.core.vectorized import SolutionState, VectorizedSystem
 from repro.exec import ProgressLike, sweep_scan
-from repro.workloads.defaults import paper_default_model
+from repro.workloads.catalog import paper_default_model
 
 
 @dataclass

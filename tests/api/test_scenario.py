@@ -82,6 +82,30 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             Scenario(**fields)
 
+    @pytest.mark.parametrize(
+        "solver_params", [{"pi_solver": "frank_wolfe"}, {"bogus": 1}]
+    )
+    def test_unknown_solver_params_rejected_at_construction(self, solver_params):
+        unknown = next(iter(solver_params))
+        with pytest.raises(ScenarioError, match=f"{unknown}.*pi_max_iterations"):
+            Scenario(solver_params=solver_params)
+
+    def test_solver_params_mirror_cache_optimizer(self):
+        import inspect
+
+        from repro.core.algorithm import CacheOptimizer
+
+        accepted = get_solver("projected_gradient").accepted_params()
+        options = inspect.signature(CacheOptimizer).parameters
+        assert set(accepted) == set(options) - {"model", "tolerance"}
+        registry_options = inspect.signature(
+            get_solver("projected_gradient").optimize
+        ).parameters
+        for name, option in options.items():
+            if name != "model":
+                assert registry_options[name].default == option.default
+        Scenario(solver_params={"pi_max_iterations": 60, "rounding_fraction": 0.0})
+
     def test_effective_horizon_follows_scale(self):
         assert Scenario(scale="fast").effective_horizon == pytest.approx(200_000.0)
         assert Scenario(scale="paper").effective_horizon == pytest.approx(2_000_000.0)
@@ -139,7 +163,7 @@ class TestRegistries:
     def test_builtin_components_registered(self):
         from repro.api import list_policies
 
-        assert set(list_solvers()) == {"projected_gradient", "frank_wolfe", "slsqp"}
+        assert set(list_solvers()) == {"projected_gradient"}
         assert set(list_engines()) == {"event", "batch"}
         assert set(list_baselines()) == {"no_cache", "whole_file", "proportional", "exact"}
         assert set(list_workloads()) == {
@@ -183,7 +207,7 @@ class TestRegistries:
     def test_registry_container_protocol(self):
         assert "batch" in ENGINES
         assert "warp" not in ENGINES
-        assert len(SOLVERS) == 3
+        assert len(SOLVERS) == 1
         assert list(iter(WORKLOADS)) == sorted(list_workloads())
         assert BASELINES.kind == "baseline"
 

@@ -142,6 +142,9 @@ class TestParityWithLegacyApi:
         from repro.api import get_solver
 
         model = paper_default_model(num_files=15, cache_capacity=8, seed=4)
-        via_registry = get_solver("frank_wolfe").optimize(model, tolerance=0.05)
-        direct = CacheOptimizer(model, tolerance=0.05, pi_solver="frank_wolfe").optimize()
-        assert via_registry.final_objective == pytest.approx(direct.final_objective)
+        via_registry = get_solver("projected_gradient").optimize(model, tolerance=0.05)
+        direct = CacheOptimizer(model, tolerance=0.05).optimize()
+        assert via_registry.final_objective == direct.final_objective
+        assert (
+            via_registry.placement.cached_chunks() == direct.placement.cached_chunks()
+        )

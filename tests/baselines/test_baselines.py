@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracle import per_file_bounds, system_objective
 
 from repro.baselines.exact import (
     ExactCachingPolicy,
@@ -14,11 +16,18 @@ from repro.baselines.exact import (
 from repro.baselines.lru import LRUCache, LRUChunkCachingPolicy
 from repro.baselines.static import (
     exact_vs_functional_bounds,
+    functional_placement_from_allocation,
     no_cache_placement,
     popularity_whole_file_placement,
     proportional_placement,
 )
+from repro.core.model import FileSpec, StorageSystemModel
+from repro.core.vectorized import SolutionState
 from repro.exceptions import CacheError, ModelError
+from repro.queueing.distributions import (
+    ExponentialService,
+    ShiftedExponentialService,
+)
 
 
 class TestLRUCache:
@@ -185,3 +194,100 @@ class TestStaticPlacements:
             exact_caching_placement(small_model),
         ):
             assert optimized.objective <= baseline.objective + 1e-6
+
+
+def _random_stable_case(seed: int, zero_capacity: bool):
+    """A random model, allocation and exact-cache node choice.
+
+    The total arrival rate stays below half the slowest node's service
+    rate, so every schedule (each ``pi_{i,j} <= 1``) keeps every node
+    stable and the scalar and vectorised moment formulas coincide.  Some
+    files cache all ``k_i`` chunks (an all-zero ``pi`` row); with
+    ``zero_capacity`` nothing is cached and ``C = 0``.
+    """
+    rng = np.random.default_rng(seed)
+    num_nodes = int(rng.integers(4, 9))
+    services = [
+        ExponentialService(float(rng.uniform(0.3, 1.0)))
+        if node % 2
+        else ShiftedExponentialService(
+            float(rng.uniform(0.1, 0.5)), float(rng.uniform(0.8, 2.0))
+        )
+        for node in range(num_nodes)
+    ]
+    slowest = min(service.rate for service in services)
+    num_files = int(rng.integers(1, 9))
+    shares = rng.dirichlet(np.ones(num_files))
+    files = []
+    allocation = {}
+    cached_nodes = {}
+    for index in range(num_files):
+        n = int(rng.integers(1, num_nodes + 1))
+        k = int(rng.integers(1, n + 1))
+        placement = [int(node) for node in rng.choice(num_nodes, size=n, replace=False)]
+        file_id = f"f{index}"
+        files.append(
+            FileSpec(
+                file_id=file_id,
+                n=n,
+                k=k,
+                placement=placement,
+                arrival_rate=float(0.5 * slowest * shares[index]),
+            )
+        )
+        if zero_capacity:
+            d = 0
+        elif rng.random() < 0.25:
+            d = k
+        else:
+            d = int(rng.integers(0, k + 1))
+        allocation[file_id] = d
+        cached_nodes[file_id] = [
+            int(node) for node in rng.choice(placement, size=d, replace=False)
+        ]
+    model = StorageSystemModel(
+        services=services, files=files, cache_capacity=sum(allocation.values())
+    )
+    return model, allocation, cached_nodes
+
+
+def _assert_matches_scalar_oracle(model, placement):
+    state = SolutionState(
+        probabilities=[dict(entry.scheduling_probabilities) for entry in placement.files]
+    )
+    reference = per_file_bounds(model, state)
+    for entry, expected in zip(placement.files, reference):
+        assert entry.latency_bound == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert placement.objective == pytest.approx(
+        system_objective(model, state), rel=1e-12, abs=0.0
+    )
+
+
+class TestBoundsMatchScalarOracle:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zero_capacity=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_baseline_bounds_match_scalar_oracle(self, seed, zero_capacity):
+        model, allocation, cached_nodes = _random_stable_case(seed, zero_capacity)
+        exact = ExactCachingPolicy(model, allocation, cached_nodes=cached_nodes)
+        placements = [
+            functional_placement_from_allocation(model, allocation),
+            exact.to_placement(),
+            no_cache_placement(model),
+            proportional_placement(model),
+            popularity_whole_file_placement(model),
+            exact_caching_placement(model),
+        ]
+        for placement in placements:
+            _assert_matches_scalar_oracle(model, placement)
+        exact_placement = placements[1]
+        assert exact.latency_bounds() == {
+            entry.file_id: entry.latency_bound for entry in exact_placement.files
+        }
+        # Excluded nodes carry no schedule under exact caching.
+        for entry in exact_placement.files:
+            assert not set(entry.scheduling_probabilities) & set(
+                cached_nodes[entry.file_id]
+            )

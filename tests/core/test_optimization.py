@@ -1,37 +1,18 @@
-"""Tests for the Prob Z / Prob Pi solvers and Algorithm 1."""
+"""Tests for the Prob Pi solver and Algorithm 1."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from scalar_oracle import solve_slsqp
+
 from repro.baselines.static import no_cache_placement
-from repro.core.algorithm import CacheOptimizer, optimize_cache_placement
-from repro.core.bound import SolutionState, initial_solution, node_moments
+from repro.core.algorithm import CacheOptimizer
 from repro.core.placement import compare_placements, placement_histogram
-from repro.core.prob_pi import solve_frank_wolfe, solve_projected_gradient, solve_slsqp
-from repro.core.prob_z import solve_prob_z
-from repro.core.vectorized import VectorizedSystem
+from repro.core.prob_pi import solve_projected_gradient
+from repro.core.vectorized import SolutionState, VectorizedSystem
 from repro.exceptions import OptimizationError
-
-
-class TestProbZ:
-    def test_bisection_and_gradient_agree(self, small_model):
-        state = initial_solution(small_model)
-        moments = node_moments(small_model, state)
-        bisection = solve_prob_z(small_model, state, moments, method="bisection")
-        gradient = solve_prob_z(small_model, state, moments, method="gradient")
-        assert np.allclose(bisection, gradient, atol=1e-2)
-
-    def test_unknown_method(self, small_model):
-        state = initial_solution(small_model)
-        with pytest.raises(ValueError):
-            solve_prob_z(small_model, state, method="nope")
-
-    def test_z_values_nonnegative(self, small_model):
-        state = initial_solution(small_model)
-        for z in solve_prob_z(small_model, state):
-            assert z >= 0.0
 
 
 class TestProbPiSolvers:
@@ -54,19 +35,14 @@ class TestProbPiSolvers:
         assert np.all(sums <= upper + 1e-5)
         assert result.pi.sum() >= system.required_total() - 1e-5
 
-    def test_frank_wolfe_decreases_objective(self, small_model):
-        system, pi, z, lower, upper = self._setup(small_model)
-        start = system.objective(pi, z)
-        result = solve_frank_wolfe(system, z, lower, upper, initial_pi=pi, max_iterations=80)
-        assert result.objective <= start + 1e-9
-
     def test_solvers_agree_on_small_instance(self, small_model):
         system, pi, z, lower, upper = self._setup(small_model)
         pgd = solve_projected_gradient(system, z, lower, upper, initial_pi=pi, max_iterations=300)
-        fw = solve_frank_wolfe(system, z, lower, upper, initial_pi=pi, max_iterations=300)
-        slsqp = solve_slsqp(system, z, lower, upper, initial_pi=pi)
-        values = [pgd.objective, fw.objective, slsqp.objective]
-        assert max(values) - min(values) <= 0.05 * max(abs(min(values)), 1.0)
+        reference = solve_slsqp(system, z, lower, upper, initial_pi=pi)
+        assert reference.converged
+        # Measured relative gap on this instance: 1.5e-4.
+        gap = abs(pgd.objective - reference.objective)
+        assert gap <= 1e-3 * max(abs(reference.objective), 1.0)
 
     def test_respects_fixed_per_file_totals(self, small_model):
         system, pi, z, lower, upper = self._setup(small_model)
@@ -141,12 +117,6 @@ class TestAlgorithm1:
         # Cached files should not be systematically colder than uncached ones.
         assert mean_rate_cached >= mean_rate_uncached * 0.8
 
-    def test_frank_wolfe_variant_runs(self, small_model):
-        outcome = CacheOptimizer(
-            small_model, tolerance=0.01, pi_solver="frank_wolfe", pi_max_iterations=60
-        ).optimize()
-        outcome.placement.validate_against(small_model)
-
     def test_single_file_rounding_variant(self, small_model):
         outcome = CacheOptimizer(
             small_model, tolerance=0.01, rounding_fraction=0.0
@@ -158,13 +128,6 @@ class TestAlgorithm1:
             CacheOptimizer(small_model, tolerance=0.0)
         with pytest.raises(OptimizationError):
             CacheOptimizer(small_model, rounding_fraction=1.5)
-        with pytest.raises(OptimizationError):
-            CacheOptimizer(small_model, pi_solver="bogus")
-
-    def test_convenience_wrapper_deprecated(self, small_model):
-        with pytest.warns(DeprecationWarning, match="optimize_cache_placement"):
-            outcome = optimize_cache_placement(small_model, tolerance=0.01, time_bin=7)
-        assert outcome.placement.time_bin == 7
 
     def test_overloaded_system_still_uses_cache(self, small_model):
         # Scale the arrival rates so the uncached system would be unstable;

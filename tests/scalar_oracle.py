@@ -1,61 +1,32 @@
-"""Evaluation of the weighted latency bound (Eq. 6) for candidate solutions.
+"""Scalar reference implementations the vectorised library code is checked against.
 
-The optimization in :mod:`repro.core.algorithm` iterates over two variable
-groups -- the per-file auxiliary scalars ``z_i`` and the scheduling
-probabilities ``pi_{i,j}``.  This module packages a candidate point as a
-:class:`SolutionState` and evaluates the objective, the per-file bounds, the
-node loads and the gradients needed by the solvers.
+The library evaluates the Eq. (6) latency bound only through
+:class:`repro.core.vectorized.VectorizedSystem`.  This module keeps the
+straightforward per-file, dictionary-based evaluation of the same quantities
+-- node moments, per-file Lemma-1 bounds, the weighted objective and its
+gradient -- built directly on :mod:`repro.queueing.mg1` and
+:mod:`repro.queueing.order_stats`, plus a SciPy SLSQP solve of Prob Pi that
+serves as the reference optimum for
+:func:`repro.core.prob_pi.solve_projected_gradient`.
+
+Tests import it as ``scalar_oracle`` (``tests/`` is on ``sys.path`` through
+the root ``conftest.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from typing import Dict, List, Mapping, Optional
 
-import math
+import numpy as np
+from scipy import optimize
 
 from repro.core.model import StorageSystemModel
+from repro.core.prob_pi import ProbPiResult
+from repro.core.vectorized import SolutionState, VectorizedSystem
 from repro.exceptions import OptimizationError
 from repro.queueing.mg1 import QueueMoments, queue_moment_derivatives, queue_moments
 from repro.queueing.order_stats import latency_bound_at_z, optimal_z
-
-
-@dataclass
-class SolutionState:
-    """A candidate solution of the cache optimization.
-
-    Attributes
-    ----------
-    probabilities:
-        One mapping per file (aligned with the model's file order) from node
-        id to the scheduling probability ``pi_{i,j}``.
-    z_values:
-        Per-file auxiliary variables ``z_i``.
-    """
-
-    probabilities: List[Dict[int, float]]
-    z_values: List[float] = field(default_factory=list)
-
-    def copy(self) -> "SolutionState":
-        """Deep copy of the candidate solution."""
-        return SolutionState(
-            probabilities=[dict(p) for p in self.probabilities],
-            z_values=list(self.z_values),
-        )
-
-    def cache_allocation(self, model: StorageSystemModel) -> List[float]:
-        """Return per-file cache allocations ``d_i = k_i - sum_j pi_{i,j}``.
-
-        Fractional values are possible before the integer rounding finishes.
-        """
-        allocations = []
-        for spec, file_probs in zip(model.files, self.probabilities):
-            allocations.append(spec.k - sum(file_probs.values()))
-        return allocations
-
-    def total_cache_usage(self, model: StorageSystemModel) -> float:
-        """Total (possibly fractional) number of cached chunks."""
-        return sum(max(d, 0.0) for d in self.cache_allocation(model))
 
 
 def initial_solution(model: StorageSystemModel) -> SolutionState:
@@ -200,3 +171,60 @@ def objective_gradient_pi(
             gradient[node_id] = direct[node_id] + coupling
         gradients.append(gradient)
     return gradients
+
+
+def solve_slsqp(
+    system: VectorizedSystem,
+    z: np.ndarray,
+    lower_sums: np.ndarray,
+    upper_sums: np.ndarray,
+    initial_pi: Optional[np.ndarray] = None,
+    max_iterations: int = 200,
+) -> ProbPiResult:
+    """Solve Prob Pi with ``scipy.optimize`` SLSQP (small instances only)."""
+    if initial_pi is None:
+        initial_pi = system.initial_pi()
+    initial_pi = system.project(initial_pi, lower_sums, upper_sums)
+
+    def objective(pi: np.ndarray) -> float:
+        return system.objective(pi, z)
+
+    def gradient(pi: np.ndarray) -> np.ndarray:
+        return system.objective_and_gradient(pi, z)[1]
+
+    constraints = []
+    target_total = system.required_total()
+    constraints.append(
+        {"type": "ineq", "fun": lambda pi: float(pi.sum()) - target_total}
+    )
+    for file_position in range(system.num_files):
+        mask = system.pair_file == file_position
+        constraints.append(
+            {
+                "type": "ineq",
+                "fun": (lambda pi, m=mask, u=float(upper_sums[file_position]): u - float(pi[m].sum())),
+            }
+        )
+        constraints.append(
+            {
+                "type": "ineq",
+                "fun": (lambda pi, m=mask, l=float(lower_sums[file_position]): float(pi[m].sum()) - l),
+            }
+        )
+    bounds = [(0.0, 1.0)] * system.num_pairs
+    result = optimize.minimize(
+        objective,
+        initial_pi,
+        jac=gradient,
+        bounds=bounds,
+        constraints=constraints,
+        method="SLSQP",
+        options={"maxiter": max_iterations, "ftol": 1e-9},
+    )
+    pi = np.clip(result.x, 0.0, 1.0)
+    return ProbPiResult(
+        pi=pi,
+        objective=float(result.fun),
+        iterations=int(result.nit),
+        converged=bool(result.success),
+    )

@@ -50,14 +50,6 @@ class TestPublicApi:
         assert result.placement.total_cached_chunks <= 5
         assert "analytical bound" in result.summary()
 
-    def test_optimize_cache_placement_is_deprecated_but_works(self):
-        from repro.workloads.defaults import paper_default_model
-
-        model = paper_default_model(num_files=5, cache_capacity=2)
-        with pytest.warns(DeprecationWarning, match="optimize_cache_placement"):
-            outcome = repro.optimize_cache_placement(model, tolerance=0.05)
-        assert outcome.placement.total_cached_chunks <= 2
-
 
 class TestExceptionHierarchy:
     def test_all_errors_derive_from_sprout_error(self):
