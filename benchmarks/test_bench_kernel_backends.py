@@ -2,9 +2,9 @@
 
 The kernel extraction (``repro/kernels/``) moved the Lindley scans, the
 segmented fork-join reductions, the SSD-lane multi-server queue and the
-batched systematic-sampling core out of the engines and behind a pluggable
-array-API backend layer.  The refactor's performance contract is that the
-default NumPy backend costs (at most) dispatch overhead: this benchmark
+batched systematic-sampling core out of the engines and into one shared
+NumPy module.  The refactor's performance contract is that a kernel call
+costs (at most) call and argument-validation overhead: this benchmark
 re-states the pre-refactor inline implementations verbatim and times both
 against the kernels on the two workloads the engines actually run --
 
@@ -17,11 +17,9 @@ against the kernels on the two workloads the engines actually run --
   two-device constant-service SSD bank (the hot kernels of
   ``repro/cluster/replay.py``).
 
-NumPy-backend kernel throughput must stay >= 0.9x the inline code on both
-workloads (CI gate), and every kernel output must be bit-equal to its
-inline counterpart.  When ``array_api_strict`` is importable its portable-
-path timings are recorded as well (informational -- conformance, not
-speed).  Results land in ``BENCH_kernel_backends.json``.
+Kernel throughput must stay >= 0.9x the inline code on both workloads (CI
+gate), and every kernel output must be bit-equal to its inline
+counterpart.  Results land in ``BENCH_kernel_backends.json``.
 """
 
 from __future__ import annotations
@@ -36,18 +34,15 @@ from repro.kernels import (
     fifo_departures_grouped,
     fork_join_max,
     lindley_departures,
-    module_available,
     multi_server_departures,
     segment_max,
     systematic_sample_positions,
-    use_kernel_backend,
 )
 
-#: Minimum NumPy-backend kernel throughput relative to the inline code.
-#: The kernels add only argument validation and backend dispatch per call,
-#: so parity is ~1.0x on these array sizes; 0.9x leaves noise headroom
-#: while still catching an accidental slow path (e.g. the portable
-#: doubling prefix-maximum running where the ufunc scan should).
+#: Minimum kernel throughput relative to the inline code.  The kernels add
+#: only argument validation per call, so parity is ~1.0x on these array
+#: sizes; 0.9x leaves noise headroom while still catching an accidental
+#: slow path (e.g. a Python-level loop where the ufunc scan should run).
 REQUIRED_RELATIVE_THROUGHPUT = 0.9
 
 #: Timing rounds per implementation (best-of, to shed scheduler noise).
@@ -193,11 +188,11 @@ def _cluster_replay_workload(num_requests: int, seed: int = 7) -> Dict[str, Any]
 # ----------------------------------------------------------------------
 
 
-def _best_of(fn: Callable[[], Any], rounds: int = ROUNDS) -> Tuple[Any, float]:
-    """Run ``fn`` ``rounds`` times; return (last result, best wall time)."""
+def _best_of(fn: Callable[[], Any]) -> Tuple[Any, float]:
+    """Run ``fn`` ``ROUNDS`` times; return (last result, best wall time)."""
     best = np.inf
     result = None
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         start = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - start)
@@ -261,7 +256,7 @@ def test_kernel_backend_parity(benchmark, scale):
     fig11 = _fig11_batch_workload(params["num_requests"])
     replay = _cluster_replay_workload(params["num_requests"])
 
-    # Warm both paths once (allocator, backend resolution), then time.
+    # Warm both paths once (allocator), then time.
     _run_fig11_inline(fig11), _run_fig11_kernel(fig11)
     _run_replay_inline(replay), _run_replay_kernel(replay)
 
@@ -274,7 +269,7 @@ def test_kernel_backend_parity(benchmark, scale):
         iterations=1, rounds=1,
     )
 
-    # Bit-equality: the NumPy backend IS the inline implementation.
+    # Bit-equality: the kernels ARE the inline implementation.
     for inline_out, kernel_out in zip(fig11_inline, fig11_kernel):
         np.testing.assert_array_equal(inline_out, kernel_out)
     for inline_out, kernel_out in zip(replay_inline, replay_kernel):
@@ -282,17 +277,6 @@ def test_kernel_backend_parity(benchmark, scale):
 
     fig11_ratio = fig11_inline_s / fig11_kernel_s
     replay_ratio = replay_inline_s / replay_kernel_s
-
-    # Portable-path conformance timing (informational, no gate: the
-    # doubling prefix-max and pure-gather scatters trade speed for
-    # running on any array-API namespace).
-    strict_seconds = None
-    if module_available("array_api_strict"):
-        with use_kernel_backend("array_api_strict"):
-            _, strict_seconds = _best_of(
-                lambda: (_run_fig11_kernel(fig11), _run_replay_kernel(replay)),
-                rounds=1,
-            )
 
     payload = {
         "name": "kernel_backends",
@@ -304,25 +288,18 @@ def test_kernel_backend_parity(benchmark, scale):
         "cluster_replay_inline_seconds": replay_inline_s,
         "cluster_replay_kernel_seconds": replay_kernel_s,
         "cluster_replay_relative_throughput": replay_ratio,
-        "array_api_strict_seconds": strict_seconds,
         "required_relative_throughput": REQUIRED_RELATIVE_THROUGHPUT,
         "rounds": ROUNDS,
     }
     write_bench_json("kernel_backends", payload)
-    strict_line = (
-        f"  array_api_strict portable path {strict_seconds:8.3f} s (informational)\n"
-        if strict_seconds is not None
-        else "  array_api_strict not installed (pip install repro[array-api])\n"
-    )
     print_report(
-        "Shared queueing kernels -- NumPy backend vs pre-refactor inline code",
+        "Shared queueing kernels vs pre-refactor inline code",
         f"{params['num_requests']:,} requests per workload, best of {ROUNDS}:\n"
         f"  fig11 batch workload   inline {fig11_inline_s:8.4f} s   "
         f"kernel {fig11_kernel_s:8.4f} s   -> {fig11_ratio:.2f}x\n"
         f"  cluster-replay workload inline {replay_inline_s:8.4f} s   "
         f"kernel {replay_kernel_s:8.4f} s   -> {replay_ratio:.2f}x\n"
-        + strict_line
-        + f"  gate: kernel throughput >= {REQUIRED_RELATIVE_THROUGHPUT}x inline "
+        f"  gate: kernel throughput >= {REQUIRED_RELATIVE_THROUGHPUT}x inline "
         "on both workloads, outputs bit-equal",
     )
     assert fig11_ratio >= REQUIRED_RELATIVE_THROUGHPUT

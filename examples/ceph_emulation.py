@@ -18,12 +18,11 @@ Run with::
 
 from __future__ import annotations
 
-from repro.api import Scenario, get_solver
+from repro.api import get_solver
 from repro.cluster.cluster import CephLikeCluster, ClusterConfig
-from repro.kernels import active_kernel_backend_name
 from repro.experiments.fig10_object_sizes import _analytical_model
 from repro.workloads.generator import standard_read_workload
-from repro.workloads.traces import aggregate_rate_to_per_object
+from repro.workloads.catalog import aggregate_rate_to_per_object
 
 
 def main() -> None:
@@ -39,12 +38,7 @@ def main() -> None:
         f"{config.cache_capacity_mb} MB cache"
     )
     print(f"workload: {num_objects} objects, {aggregate_rate} reads/s aggregate, "
-          f"{duration_s:.0f}s run")
-    # The emulation's queueing (per-OSD Lindley scans, fork-join maxima,
-    # the SSD cache bank) runs on the active repro.kernels backend; the
-    # selection is declarative Scenario state and survives serialization.
-    assert Scenario.from_dict(Scenario(backend="numpy").to_dict()).backend == "numpy"
-    print(f"kernel backend: {active_kernel_backend_name()}\n")
+          f"{duration_s:.0f}s run\n")
 
     # --- Optimal (functional) caching: optimize, then create equivalent pools.
     cluster_optimal = CephLikeCluster(config)

@@ -34,14 +34,12 @@ def main() -> None:
         seed=7,
         rate_scale=12.0,
         engine="batch",
-        backend="numpy",       # kernel backend (repro.api.list_kernel_backends())
         horizon=200_000.0,
     )
     print(scenario.describe())
-    print(f"queueing kernels compute on the {scenario.backend!r} backend")
 
-    # The backend is part of the scenario's declarative state, so it
-    # round-trips through the dict serialization like every other field.
+    # A scenario is plain declarative state: it round-trips through the
+    # dict serialization.
     assert Scenario.from_dict(scenario.to_dict()) == scenario
 
     # --- Optimize + simulate in one call.

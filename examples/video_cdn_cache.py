@@ -30,7 +30,7 @@ from repro.core.model import FileSpec, StorageSystemModel
 from repro.erasure.functional import FunctionalCacheCoder
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.queueing.distributions import ExponentialService
-from repro.workloads.defaults import DEFAULT_SERVICE_RATES
+from repro.workloads.catalog import DEFAULT_SERVICE_RATES
 
 
 @register_workload("zipf_video", description="Zipf-popular video library on 12 servers")

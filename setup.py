@@ -4,21 +4,13 @@ The offline environment used for this reproduction lacks the ``wheel``
 package, so PEP-660 editable installs fail.  This setup lets
 ``pip install -e . --no-build-isolation --no-use-pep517`` fall back to the
 legacy ``setup.py develop`` path.
-
-Optional extras:
-
-* ``repro[array-api]`` -- installs ``array-api-strict``, enabling the
-  strict-conformance kernel backend (``Scenario(backend="array_api_strict")``
-  and the portable-path tests in ``tests/kernels``).  The core package only
-  needs NumPy/SciPy; CuPy and JAX backends register automatically whenever
-  those modules are importable, so they need no extra here.
 """
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.5.0",
+    version="2.0.0",
     description=(
         "Reproduction of 'Sprout: a functional caching approach to minimize "
         "service latency in erasure-coded storage' (ICDCS 2016)"
@@ -31,7 +23,6 @@ setup(
         "scipy>=1.8",
     ],
     extras_require={
-        "array-api": ["array-api-strict>=1.1"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     entry_points={

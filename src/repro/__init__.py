@@ -55,7 +55,7 @@ from repro.api.registry import (
 from repro.exec import ResultCache, sweep_map, sweep_scan
 from repro.policies import ChunkCachingPolicy
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # facade

@@ -42,7 +42,6 @@ from repro.api.registry import (
     ENGINES,
     EXPERIMENTS,
     FAULTS,
-    KERNEL_BACKENDS,
     POLICIES,
     SOLVERS,
     WORKLOADS,
@@ -50,7 +49,6 @@ from repro.api.registry import (
     ControllerSpec,
     EngineSpec,
     FaultSpec,
-    KernelBackendSpec,
     PolicySpec,
     Registry,
     SolverSpec,
@@ -59,7 +57,6 @@ from repro.api.registry import (
     get_controller,
     get_engine,
     get_fault,
-    get_kernel_backend_spec,
     get_policy,
     get_solver,
     get_workload,
@@ -68,7 +65,6 @@ from repro.api.registry import (
     list_engines,
     list_experiments,
     list_faults,
-    list_kernel_backends,
     list_policies,
     list_solvers,
     list_workloads,
@@ -76,7 +72,6 @@ from repro.api.registry import (
     register_controller,
     register_engine,
     register_fault,
-    register_kernel_backend,
     register_policy,
     register_solver,
     register_workload,
@@ -132,7 +127,6 @@ __all__ = [
     "PolicySpec",
     "FaultSpec",
     "ControllerSpec",
-    "KernelBackendSpec",
     "SOLVERS",
     "ENGINES",
     "BASELINES",
@@ -140,7 +134,6 @@ __all__ = [
     "POLICIES",
     "FAULTS",
     "CONTROLLERS",
-    "KERNEL_BACKENDS",
     "EXPERIMENTS",
     "register_solver",
     "register_engine",
@@ -149,7 +142,6 @@ __all__ = [
     "register_policy",
     "register_fault",
     "register_controller",
-    "register_kernel_backend",
     "get_solver",
     "get_engine",
     "get_baseline",
@@ -157,7 +149,6 @@ __all__ = [
     "get_policy",
     "get_fault",
     "get_controller",
-    "get_kernel_backend_spec",
     "list_solvers",
     "list_engines",
     "list_baselines",
@@ -165,7 +156,6 @@ __all__ = [
     "list_policies",
     "list_faults",
     "list_controllers",
-    "list_kernel_backends",
     # serialization
     "to_jsonable",
     "json_dumps",

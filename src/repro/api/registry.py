@@ -351,21 +351,6 @@ class ControllerSpec(_KeywordParams):
 
 
 @dataclass(frozen=True)
-class KernelBackendSpec:
-    """An array-API kernel backend for :mod:`repro.kernels`.
-
-    ``load()`` must return a :class:`~repro.kernels.backends.KernelBackend`
-    (resolved array namespace plus boundary converters).  Loading is lazy
-    and cached by :func:`repro.kernels.resolve_kernel_backend`, so heavy
-    imports (CuPy, JAX) only happen when the backend is actually selected.
-    """
-
-    name: str
-    description: str
-    load: Callable[[], Any]
-
-
-@dataclass(frozen=True)
 class PolicySpec:
     """A chunk-caching policy backend.
 
@@ -408,7 +393,6 @@ ENGINES: Registry[EngineSpec] = Registry("engine")
 BASELINES: Registry[BaselineSpec] = Registry("baseline")
 WORKLOADS: Registry[WorkloadSpec] = Registry("workload")
 POLICIES: Registry[PolicySpec] = Registry("cache policy", plural="cache policies")
-KERNEL_BACKENDS: Registry[KernelBackendSpec] = Registry("kernel backend")
 FAULTS: Registry[FaultSpec] = Registry("fault generator", populate=_import_fault_generators)
 CONTROLLERS: Registry[ControllerSpec] = Registry("controller", populate=_import_controllers)
 EXPERIMENTS: Registry[Any] = Registry("experiment", populate=_import_experiment_modules)
@@ -567,37 +551,6 @@ def register_controller(name: str, description: str = "") -> Callable[[Callable[
     return decorate
 
 
-def register_kernel_backend(name: str, description: str = "") -> Callable[[Callable[[], Any]], Callable[[], Any]]:
-    """Register a kernel-backend loader for :mod:`repro.kernels`.
-
-    The decorated zero-argument callable must return a
-    :class:`~repro.kernels.backends.KernelBackend`.  Registered backends
-    become valid ``Scenario(backend=...)`` values and ``--backend`` choices
-    on the experiments CLI::
-
-        from repro.api import register_kernel_backend
-        from repro.kernels import KernelBackend
-
-        @register_kernel_backend("mylib", description="my array namespace")
-        def load_mylib_backend():
-            import mylib.array_api as xp
-            return KernelBackend(name="mylib", xp=xp)
-    """
-
-    def decorate(loader: Callable[[], Any]) -> Callable[[], Any]:
-        KERNEL_BACKENDS.register(
-            name,
-            KernelBackendSpec(
-                name=name,
-                description=description or _first_doc_line(loader),
-                load=loader,
-            ),
-        )
-        return loader
-
-    return decorate
-
-
 # ----------------------------------------------------------------------
 # Lookup helpers (re-exported by repro.api)
 # ----------------------------------------------------------------------
@@ -671,16 +624,6 @@ def get_controller(name: str) -> ControllerSpec:
 def list_controllers() -> List[str]:
     """Names of the registered controllers."""
     return CONTROLLERS.names()
-
-
-def get_kernel_backend_spec(name: str) -> KernelBackendSpec:
-    """Look up a registered kernel backend."""
-    return KERNEL_BACKENDS.get(name)
-
-
-def list_kernel_backends() -> List[str]:
-    """Names of the registered kernel backends."""
-    return KERNEL_BACKENDS.names()
 
 
 def list_experiments() -> List[str]:
@@ -909,53 +852,8 @@ def _register_builtin_policies() -> None:
         POLICIES.register(policy_name, PolicySpec(policy_name, blurb, factory))
 
 
-def _register_builtin_kernel_backends() -> None:
-    # backends.py keeps its module-level imports to numpy + stdlib, so this
-    # import cannot re-enter repro.api (no cycle).
-    from repro.kernels import backends as kernel_backends
-
-    KERNEL_BACKENDS.register(
-        "numpy",
-        KernelBackendSpec(
-            "numpy",
-            "NumPy reference backend (ufunc fast paths; always available)",
-            kernel_backends.load_numpy_backend,
-        ),
-    )
-    # Optional backends register only when importable, so lookups fail fast
-    # with the known-names RegistryError instead of a late ImportError.
-    if kernel_backends.module_available("array_api_strict"):
-        KERNEL_BACKENDS.register(
-            "array_api_strict",
-            KernelBackendSpec(
-                "array_api_strict",
-                "array-api-strict conformance backend (portable paths only)",
-                kernel_backends.load_array_api_strict_backend,
-            ),
-        )
-    if kernel_backends.module_available("cupy"):
-        KERNEL_BACKENDS.register(
-            "cupy",
-            KernelBackendSpec(
-                "cupy",
-                "CuPy GPU backend (array-API-compatible namespace)",
-                kernel_backends.load_cupy_backend,
-            ),
-        )
-    if kernel_backends.module_available("jax"):
-        KERNEL_BACKENDS.register(
-            "jax",
-            KernelBackendSpec(
-                "jax",
-                "JAX backend via jax.numpy (portable paths)",
-                kernel_backends.load_jax_backend,
-            ),
-        )
-
-
 _register_builtin_solvers()
 _register_builtin_engines()
 _register_builtin_baselines()
 _register_builtin_workloads()
 _register_builtin_policies()
-_register_builtin_kernel_backends()

@@ -5,7 +5,7 @@ solver, simulation engine, seed, scale -- and the
 :class:`~repro.api.session.Session` facade turns it into the paper's
 pipeline (model -> Algorithm-1 optimization -> probabilistic scheduling ->
 simulation).  Every component reference is a registry name, so scenarios
-serialize cleanly (``to_dict`` / ``from_dict``) and new backends plug in
+serialize cleanly (``to_dict`` / ``from_dict``) and new components plug in
 without touching this class.
 """
 
@@ -22,7 +22,6 @@ from repro.api.registry import (
     CONTROLLERS,
     ENGINES,
     FAULTS,
-    KERNEL_BACKENDS,
     POLICIES,
     SOLVERS,
     WORKLOADS,
@@ -58,11 +57,6 @@ class Scenario:
         ``policy == "optimal"``.
     engine:
         Registered simulation engine (sweeps default to ``"batch"``).
-    backend:
-        Registered kernel backend (``repro.api.list_kernel_backends()``)
-        the queueing kernels compute in; ``"numpy"`` is the bit-exact
-        reference, ``"array_api_strict"``/``"cupy"``/``"jax"`` when their
-        modules are importable.
     seed:
         Root seed for model construction and every simulation stream.
     scale:
@@ -118,7 +112,6 @@ class Scenario:
     policy: str = OPTIMAL_POLICY
     solver: str = "projected_gradient"
     engine: str = "batch"
-    backend: str = "numpy"
     seed: int = 2016
     scale: str = "fast"
     tolerance: float = 0.01
@@ -174,7 +167,6 @@ class Scenario:
                 self.policy,
                 self.solver,
                 self.engine,
-                self.backend,
                 self.seed,
                 self.scale,
                 self.tolerance,
@@ -204,7 +196,6 @@ class Scenario:
         WORKLOADS.get(self.workload).validate_params(self.workload_params)
         ENGINES.get(self.engine)
         SOLVERS.get(self.solver).validate_params(self.solver_params)
-        KERNEL_BACKENDS.get(self.backend)
         if (
             self.policy != OPTIMAL_POLICY
             and self.policy not in BASELINES
@@ -323,8 +314,8 @@ class Scenario:
         return (
             f"Scenario({self.workload}: {self.num_files} files, "
             f"C={self.cache_capacity}, code={self.code}, policy={policy}, "
-            f"engine={self.engine}, backend={self.backend}, "
-            f"seed={self.seed}, scale={self.scale}{faults}{controller})"
+            f"engine={self.engine}, seed={self.seed}, scale={self.scale}"
+            f"{faults}{controller})"
         )
 
     # ------------------------------------------------------------------
@@ -345,7 +336,6 @@ class Scenario:
             "policy": self.policy,
             "solver": self.solver,
             "engine": self.engine,
-            "backend": self.backend,
             "seed": self.seed,
             "scale": self.scale,
             "tolerance": self.tolerance,

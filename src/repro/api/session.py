@@ -39,7 +39,6 @@ from repro.control.controller import ControlResult
 from repro.core.algorithm import OptimizationResult
 from repro.core.model import StorageSystemModel
 from repro.core.placement import CachePlacement, placement_histogram
-from repro.kernels import use_kernel_backend
 from repro.simulation.simulator import SimulationConfig, SimulationResult
 
 
@@ -281,9 +280,8 @@ class Session:
         directory, a prebuilt :class:`~repro.exec.ResultCache` is shared.
         A hit skips the whole pipeline -- zero solver calls -- and returns
         a :class:`CachedRunResult` whose ``to_dict`` is bit-identical to
-        the original run's.  Keys cover the scenario (including seed and
-        backend) and the package version, so upgrades and backend
-        switches re-run.
+        the original run's.  Keys cover the scenario (including the seed)
+        and the package version, so upgrades re-run.
     """
 
     def __init__(self, cache: CacheLike = None) -> None:
@@ -520,8 +518,6 @@ class Session:
         control stage runs last (see :meth:`run_controller`) and lands in
         ``result.control``.
 
-        The scenario's kernel backend is active for the whole pipeline, so
-        every queueing kernel the stages reach computes in that namespace.
         With the session cache on, a key hit returns a
         :class:`CachedRunResult` without running any stage.
         """
@@ -539,43 +535,42 @@ class Session:
         timings: Dict[str, float] = {}
         started = time.perf_counter()
 
-        with use_kernel_backend(scenario.backend):
+        stage = time.perf_counter()
+        workload = self.build_workload(scenario)
+        model = workload.model()
+        timings["build_model"] = time.perf_counter() - stage
+
+        stage = time.perf_counter()
+        placement, optimization = self._place(scenario, model)
+        if scenario.uses_optimizer:
+            place_stage = "optimize"
+        elif scenario.uses_cache_policy:
+            place_stage = "policy"
+        else:
+            place_stage = "baseline"
+        timings[place_stage] = time.perf_counter() - stage
+
+        simulation: Optional[SimulationResult] = None
+        if scenario.simulate:
             stage = time.perf_counter()
-            workload = self.build_workload(scenario)
-            model = workload.model()
-            timings["build_model"] = time.perf_counter() - stage
+            simulation = self._simulate(scenario, model, placement, workload)
+            timings["simulate"] = time.perf_counter() - stage
 
+        replay: Optional[ReplayResult] = None
+        if scenario.faults is not None:
             stage = time.perf_counter()
-            placement, optimization = self._place(scenario, model)
-            if scenario.uses_optimizer:
-                place_stage = "optimize"
-            elif scenario.uses_cache_policy:
-                place_stage = "policy"
-            else:
-                place_stage = "baseline"
-            timings[place_stage] = time.perf_counter() - stage
+            replay = self.replay_cluster(
+                scenario, model=model, placement=placement
+            )
+            timings["replay"] = time.perf_counter() - stage
 
-            simulation: Optional[SimulationResult] = None
-            if scenario.simulate:
-                stage = time.perf_counter()
-                simulation = self._simulate(scenario, model, placement, workload)
-                timings["simulate"] = time.perf_counter() - stage
-
-            replay: Optional[ReplayResult] = None
-            if scenario.faults is not None:
-                stage = time.perf_counter()
-                replay = self.replay_cluster(
-                    scenario, model=model, placement=placement
-                )
-                timings["replay"] = time.perf_counter() - stage
-
-            control: Optional[ControlResult] = None
-            if scenario.controller is not None:
-                stage = time.perf_counter()
-                control = self.run_controller(
-                    scenario, model=model, workload=workload
-                )
-                timings["control"] = time.perf_counter() - stage
+        control: Optional[ControlResult] = None
+        if scenario.controller is not None:
+            stage = time.perf_counter()
+            control = self.run_controller(
+                scenario, model=model, workload=workload
+            )
+            timings["control"] = time.perf_counter() - stage
 
         timings["total"] = time.perf_counter() - started
         result = RunResult(

@@ -15,7 +15,7 @@ the one place that knows how to run such a sweep fast and reproducibly:
   points a worker executes instead of being recompiled per point.
 * :mod:`repro.exec.cache` -- the content-addressed result cache: keys are
   SHA-256 digests of the canonical JSON of (scenario/point, seed, package
-  version, kernel backend); values are JSON documents under
+  version); values are JSON documents under
   ``~/.cache/repro`` (override with ``REPRO_CACHE_DIR``).
 
 Determinism guarantee: ``jobs=1`` and ``jobs=N`` produce bit-identical

@@ -4,10 +4,9 @@ Identical ``(Scenario, seed)`` solves used to be recomputed from scratch
 across figures, examples and CI jobs.  The :class:`ResultCache` stores any
 JSON-safe result payload under a SHA-256 key derived from the canonical
 JSON of the inputs that determine it -- the scenario (or sweep point)
-description, the seed, the package version and the active kernel backend
--- so a cache entry can never be served to a run it does not bit-exactly
-describe: bumping the package version or switching backends changes the
-key and misses.
+description, the seed and the package version -- so a cache entry can
+never be served to a run it does not bit-exactly describe: bumping the
+package version changes the key and misses.
 
 Layout: one JSON file per entry under ``<cache_dir>/<key[:2]>/<key>.json``
 with ``~/.cache/repro`` as the default root (override with the
@@ -196,17 +195,11 @@ def resolve_cache(cache: CacheLike) -> Optional[ResultCache]:
 # ----------------------------------------------------------------------
 
 
-def _active_backend_name() -> str:
-    from repro.kernels import active_kernel_backend_name
-
-    return active_kernel_backend_name()
-
-
 def scenario_key(cache: ResultCache, scenario: Any) -> str:
     """Cache key of one end-to-end scenario run.
 
-    The scenario's ``to_dict()`` already carries the seed and the kernel
-    backend; the package version keys out results computed by older code.
+    The scenario's ``to_dict()`` already carries the seed; the package
+    version keys out results computed by older code.
     """
     return cache.key_for(
         {
@@ -226,8 +219,8 @@ def experiment_point_key(
     """Cache key of one sweep point of a registered experiment.
 
     ``params`` must contain every parameter that shapes the point's result
-    (including the seed); the active kernel backend and the package
-    version are mixed in so backend switches and version bumps miss.
+    (including the seed); the package version is mixed in so version
+    bumps miss.
     """
     return cache.key_for(
         {
@@ -236,6 +229,5 @@ def experiment_point_key(
             "point": point,
             "params": dict(params),
             "version": package_version(),
-            "backend": _active_backend_name(),
         }
     )

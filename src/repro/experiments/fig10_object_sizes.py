@@ -30,7 +30,7 @@ from repro.core.model import FileSpec, StorageSystemModel
 from repro.exec import CacheLike, ProgressLike, sweep_map
 from repro.experiments._sweep import dataclass_codec, experiment_cache_key
 from repro.simulation.simulator import SimulationConfig, StorageSimulator
-from repro.workloads.traces import TABLE_III_WORKLOAD, table_iii_arrival_rates
+from repro.workloads.catalog import TABLE_III_WORKLOAD, table_iii_arrival_rates
 
 
 @dataclass

@@ -24,7 +24,7 @@ from repro.exec import CacheLike, ProgressLike, sweep_map
 from repro.experiments._sweep import dataclass_codec, experiment_cache_key
 from repro.experiments.fig10_object_sizes import _analytical_model
 from repro.simulation.simulator import SimulationConfig, StorageSimulator
-from repro.workloads.traces import aggregate_rate_to_per_object
+from repro.workloads.catalog import aggregate_rate_to_per_object
 
 
 @dataclass

@@ -18,8 +18,11 @@ from repro.api.experiments import register_experiment
 from repro.control import OnlineController
 from repro.exec import ProgressLike, sweep_scan
 from repro.simulation.simulator import SimulationConfig, StorageSimulator
-from repro.workloads.defaults import ten_file_model
-from repro.workloads.traces import TABLE_I_ARRIVAL_RATES, table_i_time_bins
+from repro.workloads.catalog import (
+    TABLE_I_ARRIVAL_RATES,
+    table_i_time_bins,
+    ten_file_model,
+)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from repro.core.algorithm import CacheOptimizer
 from repro.exec import CacheLike, ProgressLike, sweep_map
 from repro.experiments._sweep import dataclass_codec, experiment_cache_key
 from repro.simulation.simulator import SimulationConfig, StorageSimulator
-from repro.workloads.defaults import ten_file_model
+from repro.workloads.catalog import ten_file_model
 
 #: The arrival rates the paper sweeps for the first two files (requests/s).
 PAPER_SWEEP_RATES: List[float] = [

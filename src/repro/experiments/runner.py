@@ -9,8 +9,6 @@ the paper (1000 files, 1800-second benchmarks), which takes considerably
 longer.  Uniform flags forwarded to every experiment that supports them:
 
 * ``--engine {batch,event,...}`` -- override the simulation engine,
-* ``--backend {numpy,...}`` -- select the kernel backend the run's
-  queueing kernels compute in (``repro.api.list_kernel_backends()``),
 * ``--seed N`` -- override the experiment's root seed,
 * ``--fault NAME`` / ``--fault-param KEY=VALUE`` -- inject a registered
   fault schedule into experiments that replay the emulated cluster
@@ -26,7 +24,7 @@ longer.  Uniform flags forwarded to every experiment that supports them:
 * ``--progress`` -- report completed/total sweep points on stderr,
 * ``--json`` -- emit the machine-readable result instead of the text report,
 * ``--list`` -- show every registered experiment, solver, engine, baseline,
-  kernel backend, fault generator, controller and workload.
+  cache policy, fault generator, controller and workload.
 """
 
 from __future__ import annotations
@@ -45,13 +43,11 @@ from repro.api.registry import (
     ENGINES,
     EXPERIMENTS as EXPERIMENT_REGISTRY,
     FAULTS,
-    KERNEL_BACKENDS,
     POLICIES,
     SOLVERS,
     WORKLOADS,
 )
 from repro.api.serialize import json_dumps
-from repro.kernels import use_kernel_backend
 
 
 def run_experiment(
@@ -59,7 +55,6 @@ def run_experiment(
     scale: str = "fast",
     *,
     engine: Optional[str] = None,
-    backend: Optional[str] = None,
     seed: Optional[int] = None,
     workload: Optional[str] = None,
     workload_params: Optional[Dict[str, object]] = None,
@@ -74,39 +69,35 @@ def run_experiment(
 ) -> str:
     """Run one registered experiment and return its formatted report.
 
-    ``backend`` selects the kernel backend active for the whole run (every
-    queueing kernel the experiment reaches computes in that namespace);
-    ``None`` keeps the process default.  ``workload``/``workload_params``
-    select a registered workload for experiments that take one (the
-    ``scenario`` experiment; dropped otherwise, like ``engine``/``seed``).
-    ``faults``/``fault_params`` inject a registered fault schedule into
-    experiments that replay the emulated cluster (same drop rule);
-    ``controller``/``controller_params`` drive the workload stream through
-    a registered online controller (same drop rule).  ``jobs`` fans sweep
-    points out over that many worker processes, ``cache`` serves repeated
-    points from the content-addressed result cache and ``progress``
-    reports completed/total points on stderr (all three follow the same
-    drop rule).  With ``as_json=True``
-    the report is a JSON document carrying the full typed result; otherwise
-    it is the experiment's text rendering under a timing header.
+    ``workload``/``workload_params`` select a registered workload for
+    experiments that take one (the ``scenario`` experiment; dropped
+    otherwise, like ``engine``/``seed``).  ``faults``/``fault_params``
+    inject a registered fault schedule into experiments that replay the
+    emulated cluster (same drop rule); ``controller``/``controller_params``
+    drive the workload stream through a registered online controller (same
+    drop rule).  ``jobs`` fans sweep points out over that many worker
+    processes, ``cache`` serves repeated points from the content-addressed
+    result cache and ``progress`` reports completed/total points on stderr
+    (all three follow the same drop rule).  With ``as_json=True`` the
+    report is a JSON document carrying the full typed result; otherwise it
+    is the experiment's text rendering under a timing header.
     """
     spec = EXPERIMENT_REGISTRY.get(name)
     started = time.time()
-    with use_kernel_backend(backend) as active_backend:
-        result = spec.run(
-            scale=scale,
-            engine=engine,
-            seed=seed,
-            workload=workload,
-            workload_params=workload_params or None,
-            faults=faults,
-            fault_params=fault_params or None,
-            controller=controller,
-            controller_params=controller_params or None,
-            jobs=jobs,
-            cache=cache,
-            progress=progress,
-        )
+    result = spec.run(
+        scale=scale,
+        engine=engine,
+        seed=seed,
+        workload=workload,
+        workload_params=workload_params or None,
+        faults=faults,
+        fault_params=fault_params or None,
+        controller=controller,
+        controller_params=controller_params or None,
+        jobs=jobs,
+        cache=cache,
+        progress=progress,
+    )
     elapsed = time.time() - started
     if as_json:
         return json_dumps(
@@ -119,7 +110,6 @@ def run_experiment(
                 # engine/seed the run did not actually use.
                 "engine": engine if engine is not None and spec.accepts("engine") else None,
                 "seed": seed if seed is not None and spec.accepts("seed") else None,
-                "backend": active_backend.name,
                 "elapsed_seconds": elapsed,
                 "result": result,
             }
@@ -189,7 +179,6 @@ def format_listing() -> str:
     sections = (
         ("solvers", SOLVERS),
         ("engines", ENGINES),
-        ("kernel backends", KERNEL_BACKENDS),
         ("baselines", BASELINES),
         ("cache policies", POLICIES),
         ("fault generators", FAULTS),
@@ -240,13 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINES.names(),
         default=None,
         help="override the simulation engine for experiments that simulate",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=KERNEL_BACKENDS.names(),
-        default=None,
-        help="kernel backend the run's queueing kernels compute in "
-        "(default: the process default, usually numpy)",
     )
     parser.add_argument(
         "--seed",
@@ -339,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--list",
         action="store_true",
         dest="list_components",
-        help="list every registered experiment, solver, engine, kernel "
-        "backend, baseline, cache policy, fault generator and workload",
+        help="list every registered experiment, solver, engine, baseline, "
+        "cache policy, fault generator, controller and workload",
     )
     return parser
 
@@ -368,7 +350,6 @@ def main(argv=None) -> int:
             name,
             args.scale,
             engine=args.engine,
-            backend=args.backend,
             seed=args.seed,
             workload=args.workload,
             workload_params=workload_params,

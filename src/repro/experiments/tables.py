@@ -23,7 +23,7 @@ from repro.cluster.devices import (
 )
 from repro.exec import CacheLike, ProgressLike, spawn_point_seeds, sweep_map
 from repro.experiments._sweep import dataclass_codec, experiment_cache_key
-from repro.workloads.traces import TABLE_I_ARRIVAL_RATES, TABLE_III_WORKLOAD
+from repro.workloads.catalog import TABLE_I_ARRIVAL_RATES, TABLE_III_WORKLOAD
 
 
 @dataclass

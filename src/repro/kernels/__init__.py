@@ -1,41 +1,17 @@
-"""Shared array-API queueing kernels with pluggable backends.
+"""Shared vectorised queueing kernels.
 
-This package is the single home of the vectorised queueing primitives the
-simulation and replay engines previously each carried inline:
+This package is the single home of the NumPy queueing primitives the
+simulation and replay engines previously each carried inline
+(:mod:`repro.kernels.queueing`): Lindley FIFO departure scans, grouped
+per-OSD queues, interleaved constant-service SSD lanes, segmented
+fork-join reductions, batched systematic sampling and epoch-segment
+folds::
 
-* :mod:`repro.kernels.queueing` -- the kernels themselves (Lindley FIFO
-  departure scans, grouped per-OSD queues, interleaved constant-service
-  SSD lanes, segmented fork-join reductions, batched systematic sampling,
-  epoch-segment folds).
-* :mod:`repro.kernels.backends` -- backend resolution: a
-  :class:`KernelBackend` bundles an array namespace with the capability
-  flags that pick between the bit-exact NumPy fast path and the portable
-  array-API path.
+    from repro.kernels import lindley_departures
 
-Backend selection::
-
-    from repro.kernels import use_kernel_backend, lindley_departures
-
-    with use_kernel_backend("array_api_strict"):
-        departures = lindley_departures(arrivals, services)
-
-or per call via ``backend=``, process-wide via
-:func:`set_default_kernel_backend` / the ``REPRO_KERNEL_BACKEND``
-environment variable, and per run via ``Scenario(backend=...)`` or the
-experiments CLI ``--backend`` flag.
+    departures = lindley_departures(arrivals, services)
 """
 
-from repro.kernels.backends import (
-    BACKEND_ENV_VAR,
-    BackendLike,
-    KernelBackend,
-    active_kernel_backend_name,
-    get_kernel_backend,
-    module_available,
-    resolve_kernel_backend,
-    set_default_kernel_backend,
-    use_kernel_backend,
-)
 from repro.kernels.queueing import (
     fifo_departures_grouped,
     fork_join_max,
@@ -48,15 +24,6 @@ from repro.kernels.queueing import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BackendLike",
-    "KernelBackend",
-    "active_kernel_backend_name",
-    "get_kernel_backend",
-    "module_available",
-    "resolve_kernel_backend",
-    "set_default_kernel_backend",
-    "use_kernel_backend",
     "fifo_departures_grouped",
     "fork_join_max",
     "last_access_fold",

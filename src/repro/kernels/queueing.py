@@ -1,8 +1,7 @@
-"""The canonical vectorised queueing kernels, array-API portable.
+"""The canonical vectorised queueing kernels.
 
-One module now owns the closed-form queueing primitives that the batch
-simulation engine and the trace-replay engines previously carried as
-private inline code:
+One module owns the closed-form queueing primitives that the batch
+simulation engine and the trace-replay engines share:
 
 * :func:`lindley_departures` -- single-server FIFO departures via the
   Lindley recursion ``D_c = max(A_c, D_{c-1}) + S_c``, unrolled into two
@@ -15,48 +14,30 @@ private inline code:
   With constant service, jobs depart in arrival order and the ``i``-th
   job starts when the ``(i-c)``-th departs, so the queue splits into
   ``c`` interleaved single-server Lindley lanes.
-* :func:`segment_max` / :func:`segment_sum` -- segmented ``reduceat``-style
+* :func:`segment_max` / :func:`segment_sum` -- segmented ``reduceat``
   reductions over contiguous segments (fork-join maxima over each
   request's chunk departures, per-file pair sums in the solver).
 * :func:`fork_join_max` -- the dense equal-width fork-join reduction used
   when every request in a group reads the same number of chunks.
 * :func:`systematic_sample_positions` -- the pure-array core of batched
   systematic inclusion sampling (randomness is pre-drawn by the caller,
-  so the kernel itself is backend-agnostic and reproducible).
+  so the kernel itself is deterministic).
 * :func:`last_access_fold` -- the epoch-segment fold collapsing a run of
   cache hits into per-object (count, last-access) summaries.
 
-Every kernel has two code paths selected by the active
-:class:`~repro.kernels.backends.KernelBackend`:
-
-* the **NumPy fast path** reproduces the pre-kernel inline implementations
-  operation for operation (``np.maximum.accumulate``, ``np.add.reduceat``,
-  ``np.lexsort``), so seeded engine outputs are *bit-equal* to the
-  pre-refactor code, and
-* the **portable path** uses only array-API standard constructs
-  (``cumulative_sum``, stable ``argsort``, ``searchsorted``, ``take``,
-  ``unique_all``) plus a doubling prefix-maximum, so the same kernel runs
-  on ``array_api_strict`` for conformance and on CuPy/JAX-class
-  namespaces for GPU execution.
-
-Kernels accept NumPy (or array-like) inputs and return NumPy arrays; the
-active backend is an implementation detail of the computation.  Pass
-``backend=`` (a name or a resolved backend) to pin a kernel call, or use
-:func:`repro.kernels.use_kernel_backend` to activate one for a region.
+Each kernel is the NumPy ufunc implementation (``np.maximum.accumulate``,
+``np.add.reduceat``, ``np.lexsort``) that the engines carried inline
+before this module existed, operation for operation, so seeded engine
+outputs are bit-equal to that code.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.kernels.backends import (
-    BackendLike,
-    KernelBackend,
-    resolve_kernel_backend,
-)
 
 __all__ = [
     "lindley_departures",
@@ -70,60 +51,8 @@ __all__ = [
 ]
 
 
-# ----------------------------------------------------------------------
-# Portable array-API building blocks
-# ----------------------------------------------------------------------
-
-
-def _cumsum(xp: Any, values: Any) -> Any:
-    """Array-API cumulative sum (``cumulative_sum``, or legacy ``cumsum``)."""
-    if hasattr(xp, "cumulative_sum"):
-        return xp.cumulative_sum(values)
-    return xp.cumsum(values)
-
-
-def _running_max(xp: Any, values: Any) -> Any:
-    """Inclusive prefix maximum without ``np.maximum.accumulate``.
-
-    The array-API standard has no cumulative maximum, so the portable path
-    uses the doubling trick: after pass ``p`` every element holds the
-    maximum of the ``2**p`` elements ending at it, giving the full prefix
-    maximum in ``ceil(log2 n)`` vector passes.
-    """
-    n = int(values.shape[0])
-    result = values
-    shift = 1
-    while shift < n:
-        result = xp.concat(
-            [result[:shift], xp.maximum(result[shift:], result[: n - shift])]
-        )
-        shift *= 2
-    return result
-
-
-def _stable_argsort(xp: Any, values: Any) -> Any:
-    return xp.argsort(values, stable=True)
-
-
-def _take_along_rows(xp: Any, matrix: Any, indices: Any) -> Any:
-    """``take_along_axis(matrix, indices, axis=1)`` with a flat fallback."""
-    if hasattr(xp, "take_along_axis"):
-        return xp.take_along_axis(matrix, indices, axis=1)
-    rows, columns = matrix.shape
-    offsets = xp.reshape(xp.arange(rows) * columns, (rows, 1))
-    flat = xp.take(xp.reshape(matrix, (-1,)), xp.reshape(indices + offsets, (-1,)))
-    return xp.reshape(flat, indices.shape)
-
-
-def _lindley_xp(xp: Any, arrivals: Any, services: Any) -> Any:
-    """Portable Lindley scan on backend arrays (arrivals sorted ascending)."""
-    cumulative = _cumsum(xp, services)
-    idle_offsets = _running_max(xp, arrivals - (cumulative - services))
-    return cumulative + idle_offsets
-
-
 def _lindley_numpy(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """NumPy fast path: the pre-kernel inline implementation, verbatim."""
+    """The Lindley scan: the pre-kernel inline implementation, verbatim."""
     cumulative = np.cumsum(services)
     idle_offsets = np.maximum.accumulate(arrivals - (cumulative - services))
     return cumulative + idle_offsets
@@ -134,27 +63,18 @@ def _lindley_numpy(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def lindley_departures(
-    arrivals: np.ndarray,
-    services: np.ndarray,
-    *,
-    backend: BackendLike = None,
-) -> np.ndarray:
+def lindley_departures(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     """Closed-form single-server FIFO departure times.
 
     ``arrivals`` must be sorted ascending; ``services`` holds the matching
-    service draws.  Returns the departure time of every job, in order.
+    service draws (same shape).  Returns the departure time of every job,
+    in order.
     """
-    resolved = resolve_kernel_backend(backend)
-    if resolved.native_numpy:
-        return _lindley_numpy(
-            np.asarray(arrivals, dtype=float), np.asarray(services, dtype=float)
-        )
-    xp = resolved.xp
-    departures = _lindley_xp(
-        xp, resolved.asarray(arrivals, float), resolved.asarray(services, float)
-    )
-    return resolved.to_numpy(departures)
+    arrivals = np.asarray(arrivals, dtype=float)
+    services = np.asarray(services, dtype=float)
+    if arrivals.shape != services.shape:
+        raise SimulationError("arrivals and services must align")
+    return _lindley_numpy(arrivals, services)
 
 
 def fifo_departures_grouped(
@@ -162,8 +82,6 @@ def fifo_departures_grouped(
     times: np.ndarray,
     services: np.ndarray,
     num_groups: int,
-    *,
-    backend: BackendLike = None,
 ) -> np.ndarray:
     """Departure times of per-group single-server FIFO queues.
 
@@ -177,8 +95,6 @@ def fifo_departures_grouped(
         Service time of each entry.
     num_groups:
         Number of queues.
-    backend:
-        Optional kernel-backend override.
 
     Entries of one queue are served in ``(time, input position)`` order;
     the returned departures are aligned with the input arrays.
@@ -188,62 +104,31 @@ def fifo_departures_grouped(
     services = np.asarray(services, dtype=float)
     if not (groups.shape == times.shape == services.shape):
         raise SimulationError("groups, times and services must align")
-    resolved = resolve_kernel_backend(backend)
-    if resolved.native_numpy:
-        order = np.lexsort((np.arange(times.size), times, groups))
-        sorted_groups = groups[order]
-        sorted_times = times[order]
-        sorted_services = services[order]
-        boundaries = np.searchsorted(sorted_groups, np.arange(num_groups + 1))
-        departures_sorted = np.empty_like(sorted_times)
-        for group in range(num_groups):
-            low, high = int(boundaries[group]), int(boundaries[group + 1])
-            if low == high:
-                continue
-            departures_sorted[low:high] = _lindley_numpy(
-                sorted_times[low:high], sorted_services[low:high]
-            )
-        departures = np.empty_like(departures_sorted)
-        departures[order] = departures_sorted
-        return departures
-
-    xp = resolved.xp
-    g = resolved.asarray(groups, np.int64)
-    t = resolved.asarray(times, float)
-    s = resolved.asarray(services, float)
-    # lexsort((position, times, groups)) == stable sort by times, then a
-    # stable re-sort by groups (stability supplies the position tiebreak).
-    order = _stable_argsort(xp, t)
-    order = xp.take(order, _stable_argsort(xp, xp.take(g, order)))
-    sorted_groups = xp.take(g, order)
-    sorted_times = xp.take(t, order)
-    sorted_services = xp.take(s, order)
-    boundaries = resolved.to_numpy(
-        xp.searchsorted(sorted_groups, resolved.asarray(np.arange(num_groups + 1), np.int64))
-    )
-    parts = []
+    order = np.lexsort((np.arange(times.size), times, groups))
+    sorted_groups = groups[order]
+    # Sorted by group first, so the ends hold the smallest and largest group.
+    if groups.size and (sorted_groups[0] < 0 or sorted_groups[-1] >= num_groups):
+        raise SimulationError(f"groups must lie in [0, {num_groups})")
+    sorted_times = times[order]
+    sorted_services = services[order]
+    boundaries = np.searchsorted(sorted_groups, np.arange(num_groups + 1))
+    departures_sorted = np.empty_like(sorted_times)
     for group in range(num_groups):
         low, high = int(boundaries[group]), int(boundaries[group + 1])
         if low == high:
             continue
-        parts.append(
-            _lindley_xp(xp, sorted_times[low:high], sorted_services[low:high])
+        departures_sorted[low:high] = _lindley_numpy(
+            sorted_times[low:high], sorted_services[low:high]
         )
-    if not parts:
-        return np.empty(0, dtype=float)
-    departures_sorted = xp.concat(parts) if len(parts) > 1 else parts[0]
-    # Scatter back to input order via the inverse permutation (gathers
-    # only: fancy-index assignment is not portable array-API).
-    inverse = _stable_argsort(xp, order)
-    return resolved.to_numpy(xp.take(departures_sorted, inverse))
+    departures = np.empty_like(departures_sorted)
+    departures[order] = departures_sorted
+    return departures
 
 
 def multi_server_departures(
     times: np.ndarray,
     service: float,
     num_servers: int,
-    *,
-    backend: BackendLike = None,
 ) -> np.ndarray:
     """Departures of a FIFO queue with ``c`` servers and constant service.
 
@@ -257,29 +142,12 @@ def multi_server_departures(
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         return np.empty(0, dtype=float)
-    resolved = resolve_kernel_backend(backend)
-    if resolved.native_numpy:
-        departures = np.empty_like(times)
-        for lane in range(num_servers):
-            lane_times = times[lane::num_servers]
-            lane_services = np.full(lane_times.size, float(service))
-            departures[lane::num_servers] = _lindley_numpy(lane_times, lane_services)
-        return departures
-
-    xp = resolved.xp
-    t = resolved.asarray(times, float)
-    n = int(times.size)
-    lane_departures = []
-    lane_positions = []
+    departures = np.empty_like(times)
     for lane in range(num_servers):
-        lane_times = t[lane::num_servers]
-        lane_services = xp.full(lane_times.shape, float(service), dtype=lane_times.dtype)
-        lane_departures.append(_lindley_xp(xp, lane_times, lane_services))
-        lane_positions.append(resolved.asarray(np.arange(lane, n, num_servers), np.int64))
-    all_departures = xp.concat(lane_departures)
-    all_positions = xp.concat(lane_positions)
-    inverse = _stable_argsort(xp, all_positions)
-    return resolved.to_numpy(xp.take(all_departures, inverse))
+        lane_times = times[lane::num_servers]
+        lane_services = np.full(lane_times.size, float(service))
+        departures[lane::num_servers] = _lindley_numpy(lane_times, lane_services)
+    return departures
 
 
 # ----------------------------------------------------------------------
@@ -287,12 +155,7 @@ def multi_server_departures(
 # ----------------------------------------------------------------------
 
 
-def segment_max(
-    values: np.ndarray,
-    starts: np.ndarray,
-    *,
-    backend: BackendLike = None,
-) -> np.ndarray:
+def segment_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per-segment maxima over contiguous segments of ``values``.
 
     ``starts`` holds the strictly-increasing start offset of every segment
@@ -301,68 +164,22 @@ def segment_max(
     This is the fork-join reduction of the replay engines: one maximum per
     request over its chunk departures.
     """
-    values = np.asarray(values)
-    starts = np.asarray(starts, dtype=np.int64)
-    resolved = resolve_kernel_backend(backend)
-    if resolved.native_numpy:
-        return np.maximum.reduceat(values, starts)
-    xp = resolved.xp
-    v = resolved.asarray(values, float)
-    boundaries = starts.tolist() + [int(values.shape[0])]
-    maxima = [
-        xp.max(v[boundaries[index] : boundaries[index + 1]])
-        for index in range(len(boundaries) - 1)
-    ]
-    return resolved.to_numpy(xp.stack(maxima))
+    return np.maximum.reduceat(np.asarray(values), np.asarray(starts, dtype=np.int64))
 
 
-def segment_sum(
-    values: np.ndarray,
-    starts: np.ndarray,
-    *,
-    backend: BackendLike = None,
-) -> np.ndarray:
-    """Per-segment sums over contiguous segments (see :func:`segment_max`).
-
-    The portable path computes all segments at once as differences of the
-    cumulative sum, so non-NumPy backends keep a fully vectorised path.
-    """
-    values = np.asarray(values)
-    starts = np.asarray(starts, dtype=np.int64)
-    resolved = resolve_kernel_backend(backend)
-    if resolved.native_numpy:
-        return np.add.reduceat(values, starts)
-    xp = resolved.xp
-    v = resolved.asarray(values, float)
-    cumulative = _cumsum(xp, v)
-    starts_b = resolved.asarray(starts, np.int64)
-    total = int(values.shape[0])
-    ends = xp.concat([starts_b[1:], resolved.asarray([total], np.int64)])
-    totals = xp.take(cumulative, ends - 1)
-    previous = xp.take(cumulative, xp.where(starts_b > 0, starts_b - 1, starts_b))
-    previous = xp.where(starts_b > 0, previous, xp.zeros_like(previous))
-    return resolved.to_numpy(totals - previous)
+def segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-segment sums over contiguous segments (see :func:`segment_max`)."""
+    return np.add.reduceat(np.asarray(values), np.asarray(starts, dtype=np.int64))
 
 
-def fork_join_max(
-    values: np.ndarray,
-    num_segments: int,
-    width: int,
-    *,
-    backend: BackendLike = None,
-) -> np.ndarray:
+def fork_join_max(values: np.ndarray, num_segments: int, width: int) -> np.ndarray:
     """Equal-width fork-join maxima: ``values`` reshaped ``(n, w)``, max per row.
 
     Used when every request in a group reads the same number of chunks
     (the batch engine's per-group layout), where the dense reshape beats
     the ragged :func:`segment_max`.
     """
-    resolved = resolve_kernel_backend(backend)
-    if resolved.native_numpy:
-        return np.asarray(values).reshape(num_segments, width).max(axis=1)
-    xp = resolved.xp
-    v = resolved.asarray(values, float)
-    return resolved.to_numpy(xp.max(xp.reshape(v, (num_segments, width)), axis=1))
+    return np.asarray(values).reshape(num_segments, width).max(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -375,8 +192,6 @@ def systematic_sample_positions(
     order_uniforms: np.ndarray,
     grid_uniforms: np.ndarray,
     size: int,
-    *,
-    backend: BackendLike = None,
 ) -> np.ndarray:
     """Pure-array core of batched systematic inclusion sampling.
 
@@ -396,56 +211,27 @@ def systematic_sample_positions(
     Returns the selected key positions, shape ``(num_draws, size)``, with
     distinct entries per row.  All randomness is pre-drawn by the caller
     (:func:`repro.scheduling.sampling.batch_systematic_inclusion_sample`),
-    so the kernel is deterministic and identical across backends up to
-    floating-point rounding.
+    so the kernel is deterministic.
     """
     probabilities = np.asarray(probabilities, dtype=float)
     num_draws, num_keys = probabilities.shape
-    resolved = resolve_kernel_backend(backend)
-    if resolved.native_numpy:
-        order = np.argsort(order_uniforms, axis=1)
-        shuffled = np.take_along_axis(probabilities, order, axis=1)
-        cumulative = np.cumsum(shuffled, axis=1)
-        # Rescale so each row's total is exactly `size` despite rounding.
-        cumulative *= size / cumulative[:, -1:]
-        grid = grid_uniforms + np.arange(size, dtype=float)
-        # Flatten the per-row searchsorted: row r's values live in
-        # (r*(size+1), r*(size+1)+size], its grid in [r*(size+1), ...+size).
-        row_base = (np.arange(num_draws, dtype=float) * (size + 1))[:, None]
-        flat_cumulative = (cumulative + row_base).ravel()
-        flat_grid = (grid + row_base).ravel()
-        flat_positions = np.searchsorted(flat_cumulative, flat_grid, side="right")
-        positions = flat_positions.reshape(num_draws, size) - (
-            np.arange(num_draws)[:, None] * num_keys
-        )
-        np.clip(positions, 0, num_keys - 1, out=positions)
-        return np.take_along_axis(order, positions, axis=1)
-
-    xp = resolved.xp
-    probs = resolved.asarray(probabilities, float)
-    order = xp.argsort(resolved.asarray(order_uniforms, float), axis=1)
-    shuffled = _take_along_rows(xp, probs, order)
-    if hasattr(xp, "cumulative_sum"):
-        cumulative = xp.cumulative_sum(shuffled, axis=1)
-    else:
-        cumulative = xp.cumsum(shuffled, axis=1)
-    cumulative = cumulative * (size / cumulative[:, -1:])
-    grid = resolved.asarray(grid_uniforms, float) + resolved.asarray(
-        np.arange(size, dtype=float), float
+    order = np.argsort(order_uniforms, axis=1)
+    shuffled = np.take_along_axis(probabilities, order, axis=1)
+    cumulative = np.cumsum(shuffled, axis=1)
+    # Rescale so each row's total is exactly `size` despite rounding.
+    cumulative *= size / cumulative[:, -1:]
+    grid = grid_uniforms + np.arange(size, dtype=float)
+    # Flatten the per-row searchsorted: row r's values live in
+    # (r*(size+1), r*(size+1)+size], its grid in [r*(size+1), ...+size).
+    row_base = (np.arange(num_draws, dtype=float) * (size + 1))[:, None]
+    flat_cumulative = (cumulative + row_base).ravel()
+    flat_grid = (grid + row_base).ravel()
+    flat_positions = np.searchsorted(flat_cumulative, flat_grid, side="right")
+    positions = flat_positions.reshape(num_draws, size) - (
+        np.arange(num_draws)[:, None] * num_keys
     )
-    row_base = xp.reshape(
-        resolved.asarray(np.arange(num_draws, dtype=float) * (size + 1), float),
-        (num_draws, 1),
-    )
-    flat_cumulative = xp.reshape(cumulative + row_base, (-1,))
-    flat_grid = xp.reshape(grid + row_base, (-1,))
-    flat_positions = xp.searchsorted(flat_cumulative, flat_grid, side="right")
-    positions = xp.reshape(flat_positions, (num_draws, size)) - xp.reshape(
-        resolved.asarray(np.arange(num_draws), np.int64) * num_keys, (num_draws, 1)
-    )
-    positions = xp.clip(positions, 0, num_keys - 1)
-    selected = _take_along_rows(xp, order, positions)
-    return resolved.to_numpy(selected).astype(np.int64)
+    np.clip(positions, 0, num_keys - 1, out=positions)
+    return np.take_along_axis(order, positions, axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -453,11 +239,7 @@ def systematic_sample_positions(
 # ----------------------------------------------------------------------
 
 
-def last_access_fold(
-    positions: np.ndarray,
-    *,
-    backend: BackendLike = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def last_access_fold(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse a run of accesses into its per-object summary.
 
     Returns ``(unique_positions, counts, last_offsets)`` where
@@ -469,22 +251,9 @@ def last_access_fold(
     state of per-request processing for a pure hit run.
     """
     positions = np.asarray(positions)
-    resolved = resolve_kernel_backend(backend)
-    if resolved.native_numpy:
-        unique, rev_first, counts = np.unique(
-            positions[::-1], return_index=True, return_counts=True
-        )
-        last_offsets = positions.size - 1 - rev_first
-        order = np.argsort(last_offsets)
-        return unique[order], counts[order], last_offsets[order]
-    xp = resolved.xp
-    p = resolved.asarray(positions, np.int64)
-    reversed_run = xp.flip(p)
-    result = xp.unique_all(reversed_run)
-    last_offsets = (int(positions.size) - 1) - result.indices
-    order = xp.argsort(last_offsets)
-    return (
-        resolved.to_numpy(xp.take(result.values, order)).astype(positions.dtype),
-        resolved.to_numpy(xp.take(result.counts, order)).astype(np.int64),
-        resolved.to_numpy(xp.take(last_offsets, order)).astype(np.int64),
+    unique, rev_first, counts = np.unique(
+        positions[::-1], return_index=True, return_counts=True
     )
+    last_offsets = positions.size - 1 - rev_first
+    order = np.argsort(last_offsets)
+    return unique[order], counts[order], last_offsets[order]

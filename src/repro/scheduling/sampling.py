@@ -85,9 +85,8 @@ def batch_systematic_inclusion_sample(
 
     # All randomness is drawn here, in the pre-kernel stream order (the
     # row-shuffle uniforms first, then the grid offsets), so seeded draws
-    # are bit-equal to the old inline implementation and identical for
-    # every kernel backend.  The pure-array core lives in
-    # :func:`repro.kernels.systematic_sample_positions`.
+    # are bit-equal to the old inline implementation.  The pure-array core
+    # lives in :func:`repro.kernels.systematic_sample_positions`.
     order_uniforms = rng.random((num_draws, num_keys))
     grid_uniforms = rng.random((num_draws, 1))
     selected = systematic_sample_positions(probs, order_uniforms, grid_uniforms, size)

@@ -17,8 +17,7 @@ from repro.simulation.arrivals import (
 )
 from repro.simulation.batch import run_batch_simulation
 
-# Re-exported from the shared kernel layer (the repro.simulation.replay
-# shims remain for legacy direct imports, with a DeprecationWarning).
+# Re-exported from the shared kernel layer.
 from repro.kernels import (
     fifo_departures_grouped,
     last_access_fold,

@@ -5,9 +5,8 @@ synthetic zoo (diurnal cycles, flash crowds, popularity drift) and
 ingested real traces -- implements the same protocol: ``model()`` yields
 the stationary system description and ``sample(rng, horizon)`` draws a
 :class:`RequestStream` the engines replay.  Select workloads by name via
-``Scenario(workload=...)``; the legacy free functions in
-:mod:`repro.workloads.defaults` / :mod:`repro.workloads.traces` remain as
-deprecation shims over :mod:`repro.workloads.catalog`.
+``Scenario(workload=...)``; the paper's constants and model builders live
+in :mod:`repro.workloads.catalog`.
 """
 
 from repro.workloads.base import (

@@ -1,11 +1,9 @@
 """Canonical home of the paper's workload constants and model builders.
 
-This module carries the implementations that historically lived in
-:mod:`repro.workloads.defaults` (the Section V-A simulation setup) and
-:mod:`repro.workloads.traces` (the Table I / Table III rate tables); those
-modules remain as thin deprecation shims.  New code should import from
-:mod:`repro.workloads` (or from here) and select workloads through the
-registry (``Scenario(workload=...)``).
+This module carries the Section V-A simulation setup (default arrival and
+service rates, the paper's default and ten-file models) and the Table I /
+Table III rate tables.  Import from :mod:`repro.workloads` (or from here)
+and select workloads through the registry (``Scenario(workload=...)``).
 """
 
 from __future__ import annotations

@@ -141,6 +141,9 @@ class TestScenarioSerialization:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ScenarioError, match="unknown Scenario fields"):
             Scenario.from_dict({"num_files": 10, "files": 10})
+        # The kernels have one (NumPy) path: no backend field, no alias.
+        with pytest.raises(ScenarioError, match="unknown Scenario fields"):
+            Scenario.from_dict({"num_files": 10, "backend": "numpy"})
 
     def test_describe_mentions_components(self):
         text = Scenario(policy="exact").describe()

@@ -10,7 +10,7 @@ import pytest
 from repro.api import RunResult, Scenario, Session, get_experiment, run_scenario
 from repro.core.algorithm import CacheOptimizer
 from repro.experiments import fig4_cache_size
-from repro.workloads.defaults import paper_default_model
+from repro.workloads.catalog import paper_default_model
 
 
 @pytest.fixture(scope="module")

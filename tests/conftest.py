@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.model import FileSpec, StorageSystemModel
 from repro.queueing.distributions import ExponentialService
-from repro.workloads.defaults import DEFAULT_SERVICE_RATES
+from repro.workloads.catalog import DEFAULT_SERVICE_RATES
 
 
 @pytest.fixture

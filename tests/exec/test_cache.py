@@ -5,7 +5,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import repro
-import repro.kernels
 from repro.api.scenario import Scenario
 from repro.api.serialize import json_dumps
 from repro.api.session import CachedRunResult, Session
@@ -86,14 +85,9 @@ def test_experiment_point_key_invalidation(tmp_path, monkeypatch):
     assert key != experiment_point_key(cache, "fig11", 1.0, params)
     assert key != experiment_point_key(cache, "fig10", 0.5, params)
     assert key != experiment_point_key(cache, "fig11", 0.5, {**params, "seed": 1})
-    # ... including the package version and the active kernel backend.
+    # ... including the package version.
     monkeypatch.setattr(repro, "__version__", "0.0.0-test")
-    bumped = experiment_point_key(cache, "fig11", 0.5, params)
-    assert bumped != key
-    monkeypatch.setattr(
-        repro.kernels, "active_kernel_backend_name", lambda: "other-backend"
-    )
-    assert experiment_point_key(cache, "fig11", 0.5, params) != bumped
+    assert experiment_point_key(cache, "fig11", 0.5, params) != key
 
 
 def test_session_serves_bit_equal_cached_results(tmp_path):

@@ -2,11 +2,10 @@
 
 Every kernel in :mod:`repro.kernels.queueing` replaced a private inline
 implementation in the engines.  The acceptance bar of the refactor is
-*bit-equality* on the default NumPy backend: this module re-states each
-legacy implementation verbatim (ufunc ``accumulate``/``reduceat`` scans,
-``lexsort``, fancy-index scatters) and asserts, under hypothesis-generated
-and seeded workloads, that the kernel output is ``np.array_equal`` to it --
-no tolerance.
+*bit-equality*: this module re-states each legacy implementation verbatim
+(ufunc ``accumulate``/``reduceat`` scans, ``lexsort``, fancy-index
+scatters) and asserts, under hypothesis-generated and seeded workloads,
+that the kernel output is ``np.array_equal`` to it -- no tolerance.
 """
 
 import numpy as np
@@ -23,19 +22,9 @@ from repro.kernels import (
     segment_max,
     segment_sum,
     systematic_sample_positions,
-    use_kernel_backend,
 )
+from repro.exceptions import SimulationError
 
-
-@pytest.fixture(autouse=True, scope="module")
-def _pin_numpy_backend():
-    # Bit-equality is the NumPy fast path's contract specifically; pin it
-    # so the module stays correct when the CI kernel-backends job runs the
-    # suite with REPRO_KERNEL_BACKEND=array_api_strict (the portable paths
-    # reassociate cumsum/prefix-max and only promise 1e-12 agreement,
-    # which tests/kernels/test_backends.py covers).
-    with use_kernel_backend("numpy"):
-        yield
 
 # ----------------------------------------------------------------------
 # Legacy inline implementations (the pre-kernel code, kept verbatim here
@@ -119,7 +108,7 @@ def queue_inputs(seed, size, spread=100.0):
 
 
 # ----------------------------------------------------------------------
-# Bit-equality properties (NumPy backend)
+# Bit-equality properties
 # ----------------------------------------------------------------------
 
 
@@ -259,23 +248,28 @@ def test_batch_sampler_stream_unchanged():
     assert np.array_equal(selected, expected)
 
 
-def test_replay_shims_warn_and_delegate():
-    rng = np.random.default_rng(3)
-    times = np.sort(rng.random(50) * 10)
-    from repro.simulation import replay as legacy_module
+# ----------------------------------------------------------------------
+# Input checks: malformed inputs raise instead of corrupting the output
+# ----------------------------------------------------------------------
 
-    with pytest.warns(DeprecationWarning):
-        shimmed = legacy_module.multi_server_departures(times, 0.5, 2)
-    assert np.array_equal(shimmed, multi_server_departures(times, 0.5, 2))
-    with pytest.warns(DeprecationWarning):
-        groups = rng.integers(0, 3, 50)
-        services = rng.random(50)
-        shimmed = legacy_module.fifo_departures_grouped(groups, times, services, 3)
-    assert np.array_equal(
-        shimmed, fifo_departures_grouped(groups, times, services, 3)
-    )
-    with pytest.warns(DeprecationWarning):
-        positions = rng.integers(0, 9, 50)
-        shimmed = legacy_module.last_access_fold(positions)
-    for got, expected in zip(shimmed, last_access_fold(positions)):
-        assert np.array_equal(got, expected)
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        # Unchecked, entry 2's departure would be uninitialised memory.
+        [0, 1, 5, 1],
+        # Unchecked, the group -1 job arriving at 1.0 would depart at 0.0.
+        [0, -1, 1, 0],
+    ],
+)
+def test_grouped_rejects_groups_outside_range(groups):
+    with pytest.raises(SimulationError, match="groups"):
+        fifo_departures_grouped(
+            np.array(groups), np.arange(4.0), np.ones(4), num_groups=2
+        )
+
+
+def test_lindley_rejects_misaligned_services():
+    # Unchecked, the one service would be broadcast over three arrivals.
+    with pytest.raises(SimulationError, match="align"):
+        lindley_departures(np.array([0.0, 1.0, 2.0]), np.array([1.0]))

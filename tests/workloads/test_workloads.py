@@ -7,10 +7,15 @@ import pytest
 
 from repro.cluster.cluster import CephLikeCluster, ClusterConfig
 from repro.exceptions import ModelError, WorkloadError
-from repro.workloads.defaults import (
+from repro.workloads.catalog import (
     DEFAULT_ARRIVAL_RATE_PATTERN,
     DEFAULT_SERVICE_RATES,
+    TABLE_I_ARRIVAL_RATES,
+    TABLE_III_WORKLOAD,
+    aggregate_rate_to_per_object,
     paper_default_model,
+    table_i_time_bins,
+    table_iii_arrival_rates,
     ten_file_model,
 )
 from repro.workloads.generator import (
@@ -19,13 +24,6 @@ from repro.workloads.generator import (
     standard_read_workload,
 )
 from repro.workloads.rates import SlidingWindowRateEstimator
-from repro.workloads.traces import (
-    TABLE_I_ARRIVAL_RATES,
-    TABLE_III_WORKLOAD,
-    aggregate_rate_to_per_object,
-    table_i_time_bins,
-    table_iii_arrival_rates,
-)
 
 
 class TestDefaults:

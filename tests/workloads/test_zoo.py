@@ -211,10 +211,3 @@ class TestWorkloadProtocol:
             a.simulation.requests_completed != b.simulation.requests_completed
             or a.simulated_mean_latency != b.simulated_mean_latency
         )
-
-    def test_legacy_builders_warn_but_work(self):
-        from repro.workloads import defaults
-
-        with pytest.deprecated_call():
-            model = defaults.paper_default_model(num_files=5, cache_capacity=2)
-        assert model.num_files == 5
