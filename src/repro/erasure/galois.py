@@ -6,9 +6,11 @@ multiplication modulo the primitive polynomial ``x^8 + x^4 + x^3 + x^2 + 1``
 (0x11D), the same polynomial used by the jerasure library that backs Ceph's
 erasure-coded pools.
 
-The implementation precomputes logarithm / anti-logarithm tables once at
-import time, so every operation is a table lookup.  Vectorised helpers based
-on numpy are provided for bulk chunk encoding.
+Logarithm / anti-logarithm tables are built once at import time, and from
+them a 256 x 256 ``uint8`` product table (64 KiB), ``MUL_TABLE[a, b] = a * b``.
+Scalar operations are table lookups.  The byte-vector helpers multiply a whole
+chunk by a coefficient ``c`` with a single ``np.take`` through row ``c`` of the
+product table, which is what makes chunk encoding and decoding fast.
 """
 
 from __future__ import annotations
@@ -57,6 +59,36 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 _EXP_TABLE, _LOG_TABLE = _build_tables()
 
 
+def _build_mul_table() -> np.ndarray:
+    """Return the 256 x 256 table whose entry ``[a, b]`` is ``a * b``.
+
+    Row and column 0 stay zero; the rest is ``exp[log a + log b]``, which the
+    512-entry exponent table covers without a modulo.
+    """
+    logs = _LOG_TABLE[1:]
+    table = np.zeros((FIELD_SIZE, FIELD_SIZE), dtype=np.uint8)
+    table[1:, 1:] = _EXP_TABLE[logs[:, None] + logs[None, :]]
+    table.flags.writeable = False
+    return table
+
+
+_MUL_TABLE = _build_mul_table()
+
+
+def _field_array(values, name: str) -> np.ndarray:
+    """Return ``values`` as a ``uint8`` array of field elements.
+
+    ``uint8`` input is returned as is.  Any other input is range-checked
+    first, so that e.g. 259 raises instead of wrapping around to 3.
+    """
+    array = np.asarray(values)
+    if array.dtype == np.uint8:
+        return array
+    if array.size and (array.min() < 0 or array.max() >= FIELD_SIZE):
+        raise GaloisFieldError(f"{name} entries must lie in [0, 255]")
+    return array.astype(np.uint8)
+
+
 class GF256:
     """Static helpers implementing arithmetic in GF(2^8).
 
@@ -69,6 +101,10 @@ class GF256:
 
     #: Logarithm table, exposed for vectorised code.
     LOG_TABLE = _LOG_TABLE
+
+    #: Product table: ``MUL_TABLE[a, b]`` is ``a * b``; row ``c`` maps every
+    #: byte to its product with ``c``.
+    MUL_TABLE = _MUL_TABLE
 
     order = FIELD_SIZE
 
@@ -93,11 +129,7 @@ class GF256:
     @staticmethod
     def multiply(a: int, b: int) -> int:
         """Return the product ``a * b`` in GF(2^8)."""
-        a = GF256._check_element(a)
-        b = GF256._check_element(b)
-        if a == 0 or b == 0:
-            return 0
-        return int(_EXP_TABLE[int(_LOG_TABLE[a]) + int(_LOG_TABLE[b])])
+        return int(_MUL_TABLE[GF256._check_element(a), GF256._check_element(b)])
 
     @staticmethod
     def divide(a: int, b: int) -> int:
@@ -168,16 +200,7 @@ class GF256:
     def multiply_scalar_vector(scalar: int, vector: np.ndarray) -> np.ndarray:
         """Multiply every byte of ``vector`` by ``scalar`` in GF(2^8)."""
         scalar = GF256._check_element(scalar)
-        vector = np.asarray(vector, dtype=np.uint8)
-        if scalar == 0:
-            return np.zeros_like(vector)
-        if scalar == 1:
-            return vector.copy()
-        result = np.zeros_like(vector)
-        nonzero = vector != 0
-        logs = _LOG_TABLE[vector[nonzero].astype(np.int32)] + int(_LOG_TABLE[scalar])
-        result[nonzero] = _EXP_TABLE[logs]
-        return result
+        return np.take(_MUL_TABLE[scalar], _field_array(vector, "vector"))
 
     @staticmethod
     def add_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,6 +217,11 @@ class GF256:
     def matmul(matrix: np.ndarray, data: np.ndarray) -> np.ndarray:
         """Multiply a GF(2^8) ``matrix`` (rows x cols) by ``data`` (cols x width).
 
+        Each output row is accumulated in place: a ``0`` coefficient is
+        skipped, a ``1`` (the identity rows of a systematic generator) XORs
+        its data row in directly, and any other coefficient ``c`` XORs in
+        ``np.take(MUL_TABLE[c], data_row)``.
+
         Parameters
         ----------
         matrix:
@@ -205,28 +233,28 @@ class GF256:
         -------
         numpy.ndarray
             Byte matrix of shape ``(rows, width)`` holding the coded chunks.
+
+        Raises
+        ------
+        GaloisFieldError
+            On a shape mismatch, or when a non-``uint8`` input has an entry
+            outside ``[0, 255]``.
         """
-        matrix = np.asarray(matrix, dtype=np.uint8)
-        data = np.asarray(data, dtype=np.uint8)
+        matrix = _field_array(matrix, "matrix")
+        data = _field_array(data, "data")
         if matrix.ndim != 2 or data.ndim != 2:
             raise GaloisFieldError("matmul expects two 2-D arrays")
         if matrix.shape[1] != data.shape[0]:
             raise GaloisFieldError(
                 f"dimension mismatch: matrix is {matrix.shape}, data is {data.shape}"
             )
-        rows, _ = matrix.shape
-        width = data.shape[1]
-        result = np.zeros((rows, width), dtype=np.uint8)
-        for row_index in range(rows):
-            accumulator = np.zeros(width, dtype=np.uint8)
-            for col_index, coefficient in enumerate(matrix[row_index]):
-                if coefficient == 0:
-                    continue
-                accumulator = np.bitwise_xor(
-                    accumulator,
-                    GF256.multiply_scalar_vector(int(coefficient), data[col_index]),
-                )
-            result[row_index] = accumulator
+        result = np.zeros((matrix.shape[0], data.shape[1]), dtype=np.uint8)
+        for accumulator, coefficients in zip(result, matrix.tolist()):
+            for coefficient, source in zip(coefficients, data):
+                if coefficient == 1:
+                    accumulator ^= source
+                elif coefficient:
+                    accumulator ^= np.take(_MUL_TABLE[coefficient], source)
         return result
 
     @staticmethod

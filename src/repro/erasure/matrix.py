@@ -16,6 +16,29 @@ from repro.erasure.galois import GF256
 from repro.exceptions import GaloisFieldError
 
 
+def _eliminate(working: np.ndarray, pivot_row: int, col: int) -> bool:
+    """One Gauss-Jordan step on ``working`` in place, as table row operations.
+
+    Moves the first row at or below ``pivot_row`` with a non-zero entry in
+    ``col`` up to ``pivot_row``, scales it so that entry is 1, and clears
+    ``col`` from every other row.  Returns ``False`` (leaving ``working``
+    untouched) when no such row exists.
+    """
+    candidates = np.flatnonzero(working[pivot_row:, col])
+    if candidates.size == 0:
+        return False
+    found = pivot_row + int(candidates[0])
+    if found != pivot_row:
+        working[[pivot_row, found]] = working[[found, pivot_row]]
+    scale = GF256.MUL_TABLE[GF256.inverse(int(working[pivot_row, col]))]
+    pivot = scale[working[pivot_row]]
+    working[pivot_row] = pivot
+    factors = working[:, col].copy()
+    factors[pivot_row] = 0
+    working ^= GF256.MUL_TABLE[np.ix_(factors, pivot)]
+    return True
+
+
 class GFMatrix:
     """A matrix with entries in GF(2^8).
 
@@ -146,16 +169,7 @@ class GFMatrix:
             raise GaloisFieldError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        result = np.zeros((self.rows, other.cols), dtype=np.uint8)
-        for i in range(self.rows):
-            for j in range(other.cols):
-                accumulator = 0
-                for idx in range(self.cols):
-                    accumulator ^= GF256.multiply(
-                        int(self._data[i, idx]), int(other._data[idx, j])
-                    )
-                result[i, j] = accumulator
-        return GFMatrix(result)
+        return GFMatrix(GF256.matmul(self._data, other._data))
 
     def multiply_vector(self, vector: Sequence[int]) -> List[int]:
         """Return ``self @ vector`` where ``vector`` has ``cols`` entries."""
@@ -176,71 +190,21 @@ class GFMatrix:
         if self.rows != self.cols:
             raise GaloisFieldError("only square matrices can be inverted")
         size = self.rows
-        augmented = np.concatenate(
-            [self._data.astype(np.int64), np.eye(size, dtype=np.int64)], axis=1
-        )
+        augmented = np.concatenate([self._data, np.eye(size, dtype=np.uint8)], axis=1)
         for pivot_col in range(size):
-            pivot_row = None
-            for candidate in range(pivot_col, size):
-                if augmented[candidate, pivot_col] != 0:
-                    pivot_row = candidate
-                    break
-            if pivot_row is None:
+            if not _eliminate(augmented, pivot_col, pivot_col):
                 raise GaloisFieldError("matrix is singular and cannot be inverted")
-            if pivot_row != pivot_col:
-                augmented[[pivot_col, pivot_row]] = augmented[[pivot_row, pivot_col]]
-            pivot_value = int(augmented[pivot_col, pivot_col])
-            pivot_inverse = GF256.inverse(pivot_value)
-            for col in range(2 * size):
-                augmented[pivot_col, col] = GF256.multiply(
-                    int(augmented[pivot_col, col]), pivot_inverse
-                )
-            for row in range(size):
-                if row == pivot_col:
-                    continue
-                factor = int(augmented[row, pivot_col])
-                if factor == 0:
-                    continue
-                for col in range(2 * size):
-                    augmented[row, col] ^= GF256.multiply(
-                        factor, int(augmented[pivot_col, col])
-                    )
         return GFMatrix(augmented[:, size:])
 
     def rank(self) -> int:
         """Return the rank of the matrix over GF(2^8)."""
-        working = self._data.astype(np.int64).copy()
+        working = self._data.copy()
         rank = 0
-        pivot_row = 0
         for col in range(self.cols):
-            pivot = None
-            for row in range(pivot_row, self.rows):
-                if working[row, col] != 0:
-                    pivot = row
-                    break
-            if pivot is None:
-                continue
-            if pivot != pivot_row:
-                working[[pivot_row, pivot]] = working[[pivot, pivot_row]]
-            pivot_inverse = GF256.inverse(int(working[pivot_row, col]))
-            for c in range(self.cols):
-                working[pivot_row, c] = GF256.multiply(
-                    int(working[pivot_row, c]), pivot_inverse
-                )
-            for row in range(self.rows):
-                if row == pivot_row:
-                    continue
-                factor = int(working[row, col])
-                if factor == 0:
-                    continue
-                for c in range(self.cols):
-                    working[row, c] ^= GF256.multiply(
-                        factor, int(working[pivot_row, c])
-                    )
-            pivot_row += 1
-            rank += 1
-            if pivot_row == self.rows:
+            if rank == self.rows:
                 break
+            if _eliminate(working, rank, col):
+                rank += 1
         return rank
 
     def is_invertible(self) -> bool:

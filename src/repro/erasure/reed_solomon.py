@@ -169,11 +169,14 @@ class ReedSolomonCode:
 
     def generator_row(self, index: int) -> List[int]:
         """Return the generator row for chunk ``index``."""
+        self._check_index(index)
+        return self._generator.row(index)
+
+    def _check_index(self, index: int) -> None:
         if not 0 <= index < self._n + self._max_extension:
             raise ErasureCodeError(
                 f"chunk index {index} outside [0, {self._n + self._max_extension})"
             )
-        return self._generator.row(index)
 
     @property
     def redundancy_factor(self) -> float:
@@ -220,20 +223,17 @@ class ReedSolomonCode:
         self, data_matrix: np.ndarray, indices: Optional[Sequence[int]] = None
     ) -> List[CodedChunk]:
         """Encode a pre-split ``k`` x ``chunk_size`` data matrix."""
-        data_matrix = np.asarray(data_matrix, dtype=np.uint8)
+        data_matrix = np.asarray(data_matrix)
         if data_matrix.ndim != 2 or data_matrix.shape[0] != self._k:
             raise ErasureCodeError(
                 f"data matrix must have exactly k={self._k} rows, "
                 f"got shape {data_matrix.shape}"
             )
-        if indices is None:
-            indices = range(self._n)
-        chunks: List[CodedChunk] = []
+        indices = list(range(self._n) if indices is None else indices)
         for index in indices:
-            row = np.asarray(self.generator_row(index), dtype=np.uint8).reshape(1, -1)
-            coded = GF256.matmul(row, data_matrix)[0]
-            chunks.append(CodedChunk(index=index, data=coded))
-        return chunks
+            self._check_index(index)
+        coded = GF256.matmul(self._generator[indices], data_matrix)
+        return [CodedChunk(index=index, data=row) for index, row in zip(indices, coded)]
 
     def extension_chunks(self, payload: bytes, count: int) -> List[CodedChunk]:
         """Return ``count`` extension chunks (indices ``n .. n+count-1``).
@@ -269,8 +269,7 @@ class ReedSolomonCode:
         selected = sorted(distinct.values(), key=lambda c: c.index)[: self._k]
         indices = [chunk.index for chunk in selected]
         for index in indices:
-            if index >= self._n + self._max_extension:
-                raise ErasureCodeError(f"chunk index {index} is not part of this code")
+            self._check_index(index)
         widths = {chunk.size for chunk in selected}
         if len(widths) != 1:
             raise ErasureCodeError(

@@ -149,6 +149,70 @@ class TestVectorised:
         with pytest.raises(GaloisFieldError):
             GF256.matmul(np.zeros((2, 3), dtype=np.uint8), np.zeros((4, 5), dtype=np.uint8))
 
+    def test_matmul_rejects_out_of_range_coefficient(self):
+        # 259 used to wrap to 3 and return 3 * 5 = 15.
+        with pytest.raises(GaloisFieldError):
+            GF256.matmul(np.array([[259]]), np.array([[5]], dtype=np.uint8))
+        with pytest.raises(GaloisFieldError):
+            GF256.matmul(np.array([[-1]]), np.array([[5]], dtype=np.uint8))
+
+    def test_matmul_rejects_out_of_range_data(self):
+        # 300 used to be read as 44.
+        with pytest.raises(GaloisFieldError):
+            GF256.matmul(np.array([[1]], dtype=np.uint8), np.array([[300]]))
+
+    def test_scalar_vector_rejects_out_of_range_entry(self):
+        with pytest.raises(GaloisFieldError):
+            GF256.multiply_scalar_vector(7, np.array([1, 300]))
+
+    def test_in_range_integer_input_accepted(self):
+        result = GF256.matmul(np.array([[3]]), np.array([[5]]))
+        assert result.dtype == np.uint8
+        assert result.tolist() == [[GF256.multiply(3, 5)]]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matmul_matches_scalar_oracle(self, data):
+        rows = data.draw(st.integers(0, 4), label="rows")
+        cols = data.draw(st.integers(0, 5), label="cols")
+        width = data.draw(st.sampled_from([0, 1, 2, 7, 33]), label="width")
+        coefficients = st.one_of(st.sampled_from([0, 1]), elements)
+        matrix = np.array(
+            data.draw(st.lists(coefficients, min_size=rows * cols, max_size=rows * cols)),
+            dtype=np.uint8,
+        ).reshape(rows, cols)
+        chunks = np.frombuffer(
+            data.draw(st.binary(min_size=cols * width, max_size=cols * width)),
+            dtype=np.uint8,
+        ).reshape(cols, width)
+        expected = np.zeros((rows, width), dtype=np.uint8)
+        for i in range(rows):
+            for col in range(width):
+                accumulator = 0
+                for j in range(cols):
+                    accumulator ^= GF256.multiply(int(matrix[i, j]), int(chunks[j, col]))
+                expected[i, col] = accumulator
+        result = GF256.matmul(matrix, chunks)
+        assert result.dtype == np.uint8
+        np.testing.assert_array_equal(result, expected)
+
+    def test_product_table_matches_shift_and_add(self):
+        # GF256.multiply reads the same table, so check all of it against
+        # carry-less multiplication reduced by the primitive polynomial.
+        def shift_and_add(a, b):
+            product = 0
+            while b:
+                if b & 1:
+                    product ^= a
+                a <<= 1
+                if a & 0x100:
+                    a ^= 0x11D
+                b >>= 1
+            return product
+
+        expected = [[shift_and_add(a, b) for b in range(256)] for a in range(256)]
+        assert GF256.MUL_TABLE.tolist() == expected
+
 
 class TestPolynomials:
     def test_polynomial_at_zero_is_constant(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.erasure.reed_solomon import CodedChunk, ReedSolomonCode
-from repro.exceptions import ErasureCodeError, InsufficientChunksError
+from repro.exceptions import ErasureCodeError, GaloisFieldError, InsufficientChunksError
 
 
 class TestConstruction:
@@ -94,6 +95,17 @@ class TestEncodeDecode:
         alien = CodedChunk(index=40, data=chunks[0].data)
         with pytest.raises(ErasureCodeError):
             code.decode([alien, chunks[1], chunks[2]])
+        # A negative index must not alias the last generator row, whether it
+        # comes alone or next to the real chunk of that row.
+        code = ReedSolomonCode(n=7, k=4)
+        chunks = code.encode(b"functional caching", indices=range(11))
+        negative = CodedChunk(index=-1, data=chunks[10].data)
+        with pytest.raises(ErasureCodeError):
+            code.decode([negative, *chunks[:3]])
+        with pytest.raises(ErasureCodeError):
+            code.decode([negative, chunks[10], *chunks[:2]])
+        with pytest.raises(ErasureCodeError):
+            code.encode(b"functional caching", indices=[-1])
 
     def test_empty_payload(self):
         code = ReedSolomonCode(n=5, k=3)
@@ -104,6 +116,11 @@ class TestEncodeDecode:
         code = ReedSolomonCode(n=5, k=3)
         with pytest.raises(ErasureCodeError):
             code.encode_matrix(np.zeros((2, 4), dtype=np.uint8))
+
+    def test_encode_matrix_rejects_out_of_range_bytes(self):
+        code = ReedSolomonCode(n=5, k=3)
+        with pytest.raises(GaloisFieldError):
+            code.encode_matrix(np.array([[1, 2], [3, 4], [5, 300]]))
 
     def test_extension_count_bounds(self):
         code = ReedSolomonCode(n=5, k=3)
@@ -138,3 +155,23 @@ class TestEncodeDecode:
         matrix = code.split_file(b"abcd")
         assert matrix.shape[0] == 3
         assert matrix.shape[1] == 2  # ceil(4 / 3)
+
+
+class TestPinnedEncoding:
+    """Every coded chunk is pinned by digest, so any codec rewrite must stay
+    bit-equal to the log/exp implementation these digests were taken from."""
+
+    @pytest.mark.parametrize(
+        "n, k, construction, digest",
+        [
+            (7, 4, "cauchy", "2378e890dc62538a940c34709c29a951067a99ab554bef13623dabb814c4731c"),
+            (5, 3, "vandermonde", "0d63d969c1ff89250aa9fd95aae088062e83012bb2c3a1ed52a4ec3b1b2e857e"),
+        ],
+    )
+    def test_encoded_chunks_digest(self, n, k, construction, digest):
+        payload = np.random.default_rng(2016).bytes(10 * 1024)
+        code = ReedSolomonCode(n, k, construction=construction)
+        sha = hashlib.sha256()
+        for chunk in code.encode(payload, indices=range(n + k)):
+            sha.update(chunk.data.tobytes())
+        assert sha.hexdigest() == digest
