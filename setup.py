@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="2.0.0",
+    version="3.0.0",
     description=(
         "Reproduction of 'Sprout: a functional caching approach to minimize "
         "service latency in erasure-coded storage' (ICDCS 2016)"

@@ -12,9 +12,9 @@ The package is organised as:
   Algorithm 1 (alternating minimization with integer rounding).
 * :mod:`repro.scheduling` -- probabilistic request scheduling.
 * :mod:`repro.simulation` -- the event and batch simulation engines.
-* :mod:`repro.policies` -- the pluggable cache-policy layer (LRU, LFU,
-  ARC, TTL, static functional) behind one protocol.
-* :mod:`repro.baselines` -- LRU, exact-caching and static baselines.
+* :mod:`repro.policies` -- the pluggable cache-policy layer (Ceph's LRU
+  tier and the static functional cache) behind one protocol.
+* :mod:`repro.baselines` -- exact-caching and static baselines.
 * :mod:`repro.cluster` -- Ceph-like cluster emulation (equivalent-code pools,
   LRU cache tier, measured device latencies).
 * :mod:`repro.workloads` -- the paper's workload tables and generators.
@@ -55,7 +55,7 @@ from repro.api.registry import (
 from repro.exec import ResultCache, sweep_map, sweep_scan
 from repro.policies import ChunkCachingPolicy
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # facade

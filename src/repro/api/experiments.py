@@ -37,8 +37,7 @@ class ExperimentSpec:
     title:
         Human-readable description shown by ``--list`` and report headers.
     runner:
-        The experiment's raw ``run`` function (undecorated, so registry
-        execution does not trip the direct-call deprecation shim).
+        The experiment's ``run`` function.
     module:
         Dotted module path; ``format_result`` is resolved from it lazily.
     scales:
@@ -143,9 +142,8 @@ def register_experiment(
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Decorator registering an experiment ``run`` function.
 
-    Returns the function unchanged; stack :func:`repro.api.deprecation.
-    deprecated_entry_point` on top to deprecate direct calls while keeping
-    the registry path warning-free.
+    Returns the function unchanged, so direct ``run(**kwargs)`` calls and
+    registry execution run the same code.
     """
 
     def decorate(func: Callable[..., Any]) -> Callable[..., Any]:

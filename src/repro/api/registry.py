@@ -356,7 +356,7 @@ class PolicySpec:
 
     ``factory(capacity_chunks, chunks_per_file=None, **params)`` must return
     a :class:`~repro.policies.base.ChunkCachingPolicy`; ``params`` carry the
-    scenario's ``policy_params`` (e.g. ``ttl`` for the TTL policy).
+    scenario's ``policy_params`` (e.g. ``replication`` for LRU).
     """
 
     name: str
@@ -829,19 +829,10 @@ def _register_builtin_workloads() -> None:
 
 
 def _register_builtin_policies() -> None:
-    from repro.policies import (
-        ARCPolicy,
-        LFUPolicy,
-        LRUPolicy,
-        StaticFunctionalPolicy,
-        TTLPolicy,
-    )
+    from repro.policies import LRUPolicy, StaticFunctionalPolicy
 
     entries = (
         ("lru", "least-recently-used whole-object caching (Ceph cache tier)", LRUPolicy),
-        ("lfu", "least-frequently-used whole-object caching (LRU tie-break)", LFUPolicy),
-        ("arc", "ARC-style adaptive caching with ghost lists", ARCPolicy),
-        ("ttl", "time-to-live caching (entries expire; ttl=inf means FIFO)", TTLPolicy),
         (
             "functional_static",
             "static functional cache: fixed d_i chunks per file, no eviction",

@@ -79,7 +79,7 @@ class Scenario:
         validated against the solver's signature at construction.
     policy_params:
         Extra keyword arguments for a registered cache policy (e.g.
-        ``ttl`` for the TTL policy); only valid with a cache policy.
+        ``replication`` for LRU); only valid with a cache policy.
     faults:
         Optional registered fault-generator name
         (``repro.api.list_faults()``: ``osd_crash``, ``degraded_read``,

@@ -338,7 +338,6 @@ class Session:
         *,
         duration_s: Optional[float] = None,
         engine: str = "epoch",
-        epoch_length: Optional[int] = None,
         num_osds: int = 12,
         total_rate_rps: float = 4.0,
         model: Optional[StorageSystemModel] = None,
@@ -411,7 +410,6 @@ class Session:
             trace,
             engine=engine,
             seed=scenario.seed + 1,
-            epoch_length=epoch_length,
             faults=scenario.faults,
             fault_params=dict(scenario.fault_params),
         )

@@ -1,14 +1,14 @@
 """Baseline caching policies the paper compares against.
 
-* :mod:`repro.baselines.lru` -- an LRU replicated cache tier (Ceph's
-  cache-tier baseline in the paper's evaluation).
 * :mod:`repro.baselines.exact` -- exact caching of ``d`` verbatim chunks
   (the strawman functional caching strictly dominates).
 * :mod:`repro.baselines.static` -- no caching and whole-file caching of the
   most popular files.
+
+Ceph's LRU cache tier, the paper's dynamic baseline, is a cache policy:
+:class:`repro.policies.lru.LRUPolicy`.
 """
 
-from repro.baselines.lru import LRUCache, LRUChunkCachingPolicy
 from repro.baselines.exact import ExactCachingPolicy, exact_caching_placement
 from repro.baselines.static import (
     no_cache_placement,
@@ -17,8 +17,6 @@ from repro.baselines.static import (
 )
 
 __all__ = [
-    "LRUCache",
-    "LRUChunkCachingPolicy",
     "ExactCachingPolicy",
     "exact_caching_placement",
     "no_cache_placement",

@@ -181,7 +181,7 @@ class CacheTier:
                 f"object {object_name!r} was never written through the cache tier"
             )
         self.stats.reads += 1
-        outcome = self._policy.observe(object_name, now=arrival_time)
+        outcome = self._policy.observe(object_name)
         self.stats.evictions_mb += sum(chunks for _, chunks in outcome.evicted)
         if outcome.hit:
             self.stats.hits += 1

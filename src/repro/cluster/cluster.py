@@ -306,7 +306,6 @@ class CephLikeCluster:
         policy: str = "lru",
         engine: str = "epoch",
         seed: Optional[int] = None,
-        epoch_length: Optional[int] = None,
         policy_params: Optional[Dict[str, object]] = None,
         faults=None,
         fault_params: Optional[Dict[str, object]] = None,
@@ -337,7 +336,6 @@ class CephLikeCluster:
             trace,
             engine=engine,
             seed=root + 1,
-            epoch_length=epoch_length,
             faults=faults,
             fault_params=fault_params,
         )

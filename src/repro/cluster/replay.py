@@ -17,64 +17,56 @@ trace over the *same randomness*:
   per-OSD FIFO departures (Lindley scans), the fork-join maxima and the
   SSD multi-server queue are computed in bulk with the batch-engine
   primitives; evictions and promotions are applied at epoch boundaries.
-  With the default ``epoch_length=None`` the engine places a boundary at
-  every miss (and at every TTL expiry), which preserves per-request
-  semantics *exactly*: a run of full hits changes recency/frequency state
-  but never residency, so folding the run into the policy at the boundary
+  The engine places a boundary at every miss, which preserves per-request
+  semantics *exactly*: a run of full hits changes recency state but never
+  residency, so folding the run into the policy at the boundary
   (:meth:`~repro.policies.base.ChunkCachingPolicy.touch_epoch`) reproduces
   the per-request state evolution.  Hit/miss/promotion/eviction counters
   match the request engine exactly and latency statistics agree to within
   floating-point reassociation (~1e-12 relative; the closed-form Lindley
-  scans regroup the same additions).  A fixed ``epoch_length=E`` freezes
-  state for ``E`` requests at a time instead -- an explicit approximation
-  that trades exactness for fewer boundaries on miss-heavy traces
-  (``E=1`` again degenerates to exact per-request semantics).
+  scans regroup the same additions).
 
 Randomness is decomposed so the two engines consume identical draws: the
 classification pass touches no generator at all, and the storage-node
 choices and chunk service times are then drawn *per miss* from two
-dedicated streams of one root ``SeedSequence`` -- engines that agree on
-the miss set (exact modes always do) see identical draws.  Node selection
-is uniform over the object's CRUSH placement (state-free, unlike the
-queue-dependent least-backlog rule of the per-request
-:class:`~repro.cluster.cachetier.CacheTier` path, which cannot be
-replayed out of order).
+dedicated streams of one root ``SeedSequence`` -- both engines agree on
+the miss set, so they see identical draws.  Node selection is uniform over
+the object's CRUSH placement (state-free, unlike the queue-dependent
+least-backlog rule of the per-request
+:class:`~repro.cluster.cachetier.CacheTier` path, which cannot be replayed
+out of order).
 
 **Failure suite.**  ``run(faults=..., fault_params=...)`` replays under a
 :mod:`repro.faults` schedule.  The schedule compiles (from a third child of
 the same root ``SeedSequence``, so the healthy draws are untouched) into a
-piecewise-constant :class:`~repro.faults.base.FaultTimeline` whose state
-changes are fed to the epoch classifiers as static break points through the
-:class:`~repro.cluster.boundaries.BoundaryClock` -- fault events are just
-another epoch-boundary class next to misses and TTL expiries.  Between
-boundaries the cluster state is frozen and both engines share one
-deterministic *fetch plan*: a miss whose preferred chunks (its first
-``storage_chunks`` schedule choices) all sit on live OSDs reads exactly
-those chunks; if any preferred OSD is down the read *degrades* to a
-k-of-n repair read (``ReedSolomonCode.repair_chunk`` semantics: any ``k``
-distinct chunks reconstruct the stripe) against the first ``k`` surviving
-OSDs in schedule order; if fewer than the needed chunks survive the read
-*fails* and is excluded from the latency population (policy admission
-stays fault-oblivious, by design -- classification never consumes
-randomness or cluster state).  Straggler multipliers scale per-chunk
-service times through the per-OSD lane of the grouped Lindley kernels, and
-background repair jobs are spliced into the per-OSD FIFO queues as
-competing constant-service work (arrival-time order, foreground first on
-ties) in both engines.  An empty schedule is bit-equal to the healthy
+piecewise-constant :class:`~repro.faults.base.FaultTimeline`.  Hit/miss
+classification never reads the timeline: policy admission is
+fault-oblivious by design, so a faulted replay classifies every request
+exactly like the healthy one.  The timeline acts only on the storage
+fetches, and both engines share one deterministic *fetch plan*: a miss
+whose preferred chunks (its first ``storage_chunks`` schedule choices) all
+sit on live OSDs reads exactly those chunks; if any preferred OSD is down
+the read *degrades* to a k-of-n repair read
+(``ReedSolomonCode.repair_chunk`` semantics: any ``k`` distinct chunks
+reconstruct the stripe) against the first ``k`` surviving OSDs in schedule
+order; if fewer than the needed chunks survive the read *fails* and is
+excluded from the latency population.  Straggler multipliers scale
+per-chunk service times through the per-OSD lane of the grouped Lindley
+kernels, and background repair jobs are spliced into the per-OSD FIFO
+queues as competing constant-service work (arrival-time order, foreground
+first on ties) in both engines.  An empty schedule is bit-equal to the healthy
 replay; under any seeded schedule the two engines still agree (counters
 bit-equal, latencies to ~1e-12 reassociation error).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.cluster.boundaries import BoundaryClock
 from repro.cluster.crush import CrushMap, placement_group_count
 from repro.cluster.devices import (
     hdd_service_for_chunk_size,
@@ -82,7 +74,7 @@ from repro.cluster.devices import (
     whole_object_ssd_latency,
 )
 from repro.exceptions import ClusterError
-from repro.faults.base import FaultLike, FaultTimeline, compile_fault_schedule
+from repro.faults.base import FaultLike, compile_fault_schedule
 from repro.policies import ChunkCachingPolicy, create_policy
 from repro.simulation.arrivals import generate_request_arrays
 from repro.kernels import (
@@ -102,9 +94,9 @@ class ReplayTrace:
 
     Construction validates the arrays -- negative, non-finite or
     non-monotone ``times_ms``, mismatched ``times_ms``/``object_positions``
-    lengths and positions outside ``object_ids`` raise
-    :class:`~repro.exceptions.ClusterError` immediately instead of silently
-    corrupting the Lindley scans downstream.
+    lengths, non-integral positions and positions outside ``object_ids``
+    raise :class:`~repro.exceptions.ClusterError` immediately instead of
+    silently corrupting the Lindley scans downstream.
     """
 
     times_ms: np.ndarray
@@ -113,7 +105,11 @@ class ReplayTrace:
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times_ms, dtype=np.float64)
-        positions = np.asarray(self.object_positions, dtype=np.int64)
+        positions = np.asarray(self.object_positions)
+        if positions.dtype.kind not in "iu" and bool(np.any(np.mod(positions, 1.0) != 0.0)):
+            # A cast would truncate 1.9 to 1 and replay the wrong object.
+            raise ClusterError("object_positions must hold integral object indices")
+        positions = positions.astype(np.int64, copy=False)
         if times.ndim != 1 or positions.ndim != 1:
             raise ClusterError("times_ms and object_positions must be one-dimensional")
         if times.size != positions.size:
@@ -305,8 +301,8 @@ class ClusterReplay:
         The objects of the workload; each occupies one CRUSH placement of
         ``n`` OSDs and ``k`` chunks of the configured chunk size.
     policy:
-        Registered cache-policy name (``"lru"``, ``"lfu"``, ...) or a
-        factory ``(capacity_chunks, chunks_per_file, **params)``.  A fresh
+        Registered cache-policy name (``"lru"`` or ``"functional_static"``)
+        or a factory ``(capacity_chunks, chunks_per_file, **params)``.  A fresh
         policy is built per :meth:`run`, so one replay instance can run
         both engines from identical initial state.
     policy_params:
@@ -390,7 +386,6 @@ class ClusterReplay:
         trace: ReplayTrace,
         engine: str = "epoch",
         seed: Optional[int] = None,
-        epoch_length: Optional[int] = None,
         faults: FaultLike = None,
         fault_params: Optional[Dict[str, object]] = None,
     ) -> ReplayResult:
@@ -404,13 +399,7 @@ class ClusterReplay:
             ``"epoch"`` (vectorised) or ``"request"`` (reference loop).
         seed:
             Root seed of the per-miss scheduling/service randomness; with
-            the same seed, engines that classify identically (the exact
-            modes always do) consume identical draws.
-        epoch_length:
-            ``None`` (default) places epoch boundaries at every miss and
-            expiry, which preserves per-request semantics exactly; a
-            positive integer freezes cache state for that many requests at
-            a time (documented approximation; ignored by ``"request"``).
+            the same seed both engines consume identical draws.
         faults:
             Optional fault schedule: a registered generator name (with
             ``fault_params``), a :class:`~repro.faults.base.FaultSchedule`,
@@ -424,8 +413,6 @@ class ClusterReplay:
         """
         if engine not in ("epoch", "request"):
             raise ClusterError(f"unknown replay engine {engine!r}")
-        if epoch_length is not None and epoch_length < 1:
-            raise ClusterError("epoch_length must be positive")
         for object_id in trace.object_ids:
             if object_id not in self._object_index:
                 raise ClusterError(f"object {object_id!r} was never placed")
@@ -459,17 +446,15 @@ class ClusterReplay:
         fault_label = timeline.label if timeline is not None else None
         if timeline is not None and timeline.trivial:
             # A no-op schedule must be indistinguishable from a healthy
-            # replay in every mode, including the fixed-epoch approximation
-            # (stray boundaries would re-cut approximate epochs).
+            # replay.
             timeline = None
 
         # Phase 1 (engine-specific): hit/miss classification and policy
-        # state evolution.  Touches no random stream; fault boundaries cut
-        # epochs via the BoundaryClock but never change residency.
+        # state evolution.  Touches no random stream and no fault state.
         if engine == "request":
-            classified = self._classify_requests(positions, times)
+            classified = self._classify_requests(positions)
         else:
-            classified = self._classify_epochs(positions, times, epoch_length, timeline)
+            classified = self._classify_epochs(positions)
         hit_mask, cached_chunks, promotions, evicted_chunks = classified
 
         # Phase 2 (shared): per-miss randomness, drawn identically for both
@@ -525,9 +510,9 @@ class ClusterReplay:
     # Classification, reference engine: one observe per request
     # ------------------------------------------------------------------
 
-    def _classify_requests(self, positions, times):
+    def _classify_requests(self, positions):
         policy = self._build_policy()
-        num_requests = times.size
+        num_requests = positions.size
         k = self._k
         ids = self._object_ids
         hit_mask = np.zeros(num_requests, dtype=bool)
@@ -535,10 +520,8 @@ class ClusterReplay:
         promotions = 0
         evicted_chunks = 0
         observe = policy.observe
-        times_list = times.tolist()
-        positions_list = positions.tolist()
-        for request in range(num_requests):
-            outcome = observe(ids[positions_list[request]], now=times_list[request])
+        for request, at in enumerate(positions.tolist()):
+            outcome = observe(ids[at])
             if outcome.promoted:
                 promotions += 1
             for _, chunks in outcome.evicted:
@@ -554,40 +537,26 @@ class ClusterReplay:
     # Classification, epoch engine
     # ------------------------------------------------------------------
 
-    def _classify_epochs(self, positions, times, epoch_length=None, timeline=None):
-        clock = BoundaryClock(
-            times, timeline.boundaries_ms if timeline is not None else None
-        )
-        if epoch_length is None:
-            return self._classify_miss_bounded(positions, times, clock)
-        return self._classify_fixed_epochs(positions, times, int(epoch_length), clock)
-
-    def _classify_miss_bounded(self, positions, times, clock):
-        """Exact mode: one epoch per run of hits, boundary at every event.
+    def _classify_epochs(self, positions):
+        """One epoch per run of hits, a boundary at every miss.
 
         A run of full hits never changes residency, so classifying against
         the residency snapshot is exact; the run is folded into the policy
         (unique files in last-access order) before the boundary miss is
-        observed.  TTL-style policies additionally bound runs at their next
-        expiry instant, and the :class:`BoundaryClock` contributes the
-        static fault-event break points -- misses, expiries and fault
-        events form one merged boundary stream.  Cutting a hit run at a
-        static boundary stays exact because ``touch_epoch`` folds are
-        associative across a split.  Short runs are scanned in plain Python
-        (per-epoch numpy calls on tiny slices cost more than they
-        vectorise); once a run exceeds :data:`_VECTOR_THRESHOLD` the scan
-        switches to doubling vectorised blocks, so high-hit-ratio traces
-        classify at array speed.
+        observed.  Short runs are scanned in plain Python (per-epoch numpy
+        calls on tiny slices cost more than they vectorise); once a run
+        exceeds :data:`_VECTOR_THRESHOLD` the scan switches to doubling
+        vectorised blocks, so high-hit-ratio traces classify at array speed.
+        Cutting a hit run into blocks stays exact because ``touch_epoch``
+        folds are associative across a split.
         """
         policy = self._build_policy()
-        num_requests = times.size
+        num_requests = positions.size
         k = self._k
         ids = self._object_ids
         index = self._object_index
         lookup = policy.lookup
         touch_epoch = policy.touch_epoch
-        time_driven = not policy.epoch_invariant
-        wants_counts = policy.counts_in_touch
 
         resident = [False] * len(ids)
         for object_id, chunks in policy.occupancy().items():
@@ -599,12 +568,11 @@ class ClusterReplay:
         promotions = 0
         evicted_chunks = 0
         positions_list = positions.tolist()
-        times_list = times.tolist()
 
         def handle_miss(request: int) -> None:
             nonlocal promotions, evicted_chunks
             at = positions_list[request]
-            outcome = policy.observe(ids[at], now=times_list[request])
+            outcome = policy.observe(ids[at])
             if outcome.promoted:
                 promotions += 1
             for object_id, chunks in outcome.evicted:
@@ -619,41 +587,22 @@ class ClusterReplay:
             cached_chunks[request] = outcome.cached_chunks
 
         def fold_array(block: np.ndarray, start: int) -> None:
-            unique_positions, counts, last_offsets = last_access_fold(block)
-            touch_epoch(
-                [ids[at] for at in unique_positions.tolist()],
-                counts=counts.tolist() if wants_counts else None,
-                times=times[start + last_offsets].tolist() if time_driven else None,
-                total=int(block.size),
-            )
+            unique_positions, _, _ = last_access_fold(block)
+            touch_epoch([ids[at] for at in unique_positions.tolist()], int(block.size))
             hit_mask[start : start + block.size] = True
             cached_chunks[start : start + block.size] = k
 
         cursor = 0
         vector_block = 0
         while cursor < num_requests:
-            limit = clock.next_break(cursor)
-            if time_driven:
-                next_event = policy.next_event_time()
-                if next_event < math.inf:
-                    limit = min(limit, bisect.bisect_left(times_list, next_event))
-                    if limit <= cursor:
-                        for object_id, chunks in policy.advance(next_event):
-                            evicted_chunks += chunks
-                            victim = index[object_id]
-                            full = lookup(object_id) >= k
-                            resident[victim] = full
-                            resident_array[victim] = full
-                        continue
             if vector_block:
-                end = min(cursor + vector_block, limit)
+                end = min(cursor + vector_block, num_requests)
                 block = positions[cursor:end]
                 mask = resident_array[block]
                 if mask.all():
                     fold_array(block, cursor)
                     cursor = end
-                    if end < limit:
-                        vector_block = min(vector_block * 2, _VECTOR_BLOCK_MAX)
+                    vector_block = min(vector_block * 2, _VECTOR_BLOCK_MAX)
                     continue
                 first_miss = int(np.argmin(mask))
                 if first_miss:
@@ -664,129 +613,27 @@ class ClusterReplay:
                 continue
             # Python scan for short runs.
             run_last: Dict[int, int] = {}
-            run_counts: Optional[Dict[int, int]] = {} if wants_counts else None
             scan = cursor
             streak_cap = cursor + _VECTOR_THRESHOLD
-            while scan < limit:
+            while scan < num_requests:
                 at = positions_list[scan]
                 if not resident[at]:
                     break
                 run_last[at] = scan
-                if run_counts is not None:
-                    run_counts[at] = run_counts.get(at, 0) + 1
                 scan += 1
                 if scan >= streak_cap:
                     vector_block = _VECTOR_BLOCK
                     break
             if scan > cursor:
                 order = sorted(run_last, key=run_last.__getitem__)
-                touch_epoch(
-                    [ids[at] for at in order],
-                    counts=[run_counts[at] for at in order]
-                    if run_counts is not None
-                    else None,
-                    times=[times_list[run_last[at]] for at in order]
-                    if time_driven
-                    else None,
-                    total=scan - cursor,
-                )
+                touch_epoch([ids[at] for at in order], scan - cursor)
                 hit_mask[cursor:scan] = True
                 cached_chunks[cursor:scan] = k
-            if scan < limit and not vector_block:
+            if scan < num_requests and not vector_block:
                 handle_miss(scan)
                 scan += 1
             cursor = scan
         return hit_mask, cached_chunks, promotions, evicted_chunks
-
-    def _classify_fixed_epochs(self, positions, times, epoch_length, clock):
-        """Approximate mode: residency frozen for ``epoch_length`` requests.
-
-        The whole epoch is classified against the snapshot taken at its
-        start; the accesses are then folded back into the policy in order
-        (hit runs via ``touch_epoch``, frozen misses via ``observe``) and
-        the snapshot is refreshed.  TTL expiries and the static fault-event
-        break points of the :class:`BoundaryClock` additionally bound every
-        epoch, so no approximate epoch ever straddles a cluster-state
-        change.  ``epoch_length=1`` degenerates to the exact per-request
-        semantics.
-        """
-        policy = self._build_policy()
-        num_requests = times.size
-        num_objects = len(self._object_ids)
-        k = self._k
-        ids = self._object_ids
-        index = self._object_index
-
-        occupancy = np.zeros(num_objects, dtype=np.int64)
-        for object_id, chunks in policy.occupancy().items():
-            occupancy[index[object_id]] = chunks
-        resident_full = occupancy >= k
-
-        hit_mask = np.zeros(num_requests, dtype=bool)
-        cached_chunks = np.zeros(num_requests, dtype=np.int64)
-        promotions = 0
-        evicted_chunks = 0
-
-        def apply_evictions(evictions) -> int:
-            removed = 0
-            for object_id, chunks in evictions:
-                removed += chunks
-                at = index[object_id]
-                occupancy[at] = max(occupancy[at] - chunks, 0)
-                resident_full[at] = occupancy[at] >= k
-            return removed
-
-        cursor = 0
-        while cursor < num_requests:
-            # Time-driven residency changes (TTL expiry) and static fault
-            # events bound every epoch.
-            next_event = policy.next_event_time()
-            end = min(num_requests, cursor + epoch_length, clock.next_break(cursor))
-            if next_event < math.inf:
-                cap = int(np.searchsorted(times, next_event, side="left"))
-                if cap <= cursor:
-                    evicted_chunks += apply_evictions(policy.advance(next_event))
-                    continue
-                end = min(end, cap)
-            block = positions[cursor:end]
-            mask = resident_full[block]
-            hit_mask[cursor:end] = mask
-            cached_chunks[cursor:end] = np.where(mask, k, occupancy[block])
-            run_start = 0
-            for offset in np.flatnonzero(~mask):
-                offset = int(offset)
-                if offset > run_start:
-                    self._fold_frozen_hits(
-                        policy, ids, block[run_start:offset], times, cursor + run_start
-                    )
-                outcome = policy.observe(
-                    ids[block[offset]], now=times[cursor + offset]
-                )
-                if outcome.promoted:
-                    promotions += 1
-                evicted_chunks += apply_evictions(outcome.evicted)
-                run_start = offset + 1
-            if run_start < block.size:
-                self._fold_frozen_hits(
-                    policy, ids, block[run_start:], times, cursor + run_start
-                )
-            for at in np.unique(block):
-                occupancy[at] = policy.lookup(ids[at])
-                resident_full[at] = occupancy[at] >= k
-            cursor = end
-        return hit_mask, cached_chunks, promotions, evicted_chunks
-
-    @staticmethod
-    def _fold_frozen_hits(policy, ids, run, times, start):
-        if run.size == 0:
-            return
-        unique_positions, counts, last_offsets = last_access_fold(run)
-        policy.touch_epoch(
-            [ids[at] for at in unique_positions.tolist()],
-            counts=counts.tolist(),
-            times=times[start + last_offsets].tolist(),
-            total=int(run.size),
-        )
 
     # ------------------------------------------------------------------
     # Fetch planning (shared by both engines)

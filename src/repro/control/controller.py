@@ -17,8 +17,8 @@ Two driving modes:
   vectorized :class:`~repro.control.estimator.StreamingRateEstimator`,
   opening bins on :class:`~repro.control.estimator.DriftEvent`.
 * **explicit-bin mode** (:meth:`process_bin`): the caller supplies per-bin
-  rates directly (the Fig. 5 Table-I replay, the legacy
-  :class:`~repro.core.timebins.TimeBinScheduler` shim).
+  rates directly (the Fig. 5 Table-I replay of
+  :func:`~repro.workloads.catalog.table_i_time_bins`).
 """
 
 from __future__ import annotations

@@ -12,15 +12,15 @@ Public entry points:
   minimization with iterative integer rounding).
 * :class:`repro.core.placement.CachePlacement` -- the optimized placement,
   scheduling probabilities and per-file latency bounds.
-* :class:`repro.core.timebins.TimeBinScheduler` -- re-optimization across
-  time bins with warm starts and incremental cache-content updates.
+
+Re-optimization across time bins lives in :mod:`repro.control`
+(:class:`~repro.control.OnlineController`).
 """
 
 from repro.core.model import FileSpec, StorageSystemModel
 from repro.core.vectorized import SolutionState
 from repro.core.algorithm import CacheOptimizer, OptimizationResult
 from repro.core.placement import CachePlacement
-from repro.core.timebins import TimeBin, TimeBinScheduler, CacheContentDelta
 
 __all__ = [
     "FileSpec",
@@ -29,7 +29,4 @@ __all__ = [
     "CacheOptimizer",
     "OptimizationResult",
     "CachePlacement",
-    "TimeBin",
-    "TimeBinScheduler",
-    "CacheContentDelta",
 ]

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.api.deprecation import deprecated_entry_point
 from repro.api.experiments import register_experiment
 from repro.cluster.cluster import CephLikeCluster, ClusterConfig
 from repro.cluster.devices import chunk_size_for_object, hdd_service_for_chunk_size
@@ -185,7 +184,6 @@ def run_for_object_size(
     )
 
 
-@deprecated_entry_point("fig10")
 @register_experiment(
     "fig10",
     title="Latency per object size, optimal vs LRU (Fig. 10)",

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.api.deprecation import deprecated_entry_point
 from repro.api.experiments import register_experiment
 from repro.cluster.cluster import CephLikeCluster, ClusterConfig
 from repro.core.algorithm import CacheOptimizer
@@ -146,7 +145,6 @@ def run_for_rate(
     )
 
 
-@deprecated_entry_point("fig11")
 @register_experiment(
     "fig11",
     title="Latency vs workload intensity, optimal vs LRU (Fig. 11)",

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.api.deprecation import deprecated_entry_point
 from repro.api.experiments import register_experiment
 from repro.core.algorithm import CacheOptimizer
 from repro.core.vectorized import SolutionState, VectorizedSystem
@@ -48,7 +47,6 @@ class Fig3Result:
         return max(curve.outer_iterations for curve in self.curves)
 
 
-@deprecated_entry_point("fig3")
 @register_experiment(
     "fig3",
     title="Convergence of Algorithm 1 (Fig. 3)",

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.api.deprecation import deprecated_entry_point
 from repro.api.experiments import register_experiment
 from repro.core.algorithm import CacheOptimizer
 from repro.core.vectorized import SolutionState, VectorizedSystem
@@ -45,7 +44,6 @@ class Fig4Result:
         return all(b <= a + tolerance for a, b in zip(series, series[1:]))
 
 
-@deprecated_entry_point("fig4")
 @register_experiment(
     "fig4",
     title="Latency vs cache size (Fig. 4)",

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.api.deprecation import deprecated_entry_point
 from repro.api.experiments import register_experiment
 from repro.control import OnlineController
 from repro.exec import ProgressLike, sweep_scan
@@ -40,7 +39,6 @@ class Fig5Result:
         return [bin_content.get(file_id, 0) for bin_content in self.cache_per_bin]
 
 
-@deprecated_entry_point("fig5")
 @register_experiment(
     "fig5",
     title="Cache content evolution over time bins (Fig. 5 / Table I)",

@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.api.deprecation import deprecated_entry_point
 from repro.api.experiments import register_experiment
 from repro.core.algorithm import CacheOptimizer
 from repro.exec import CacheLike, ProgressLike, sweep_map
@@ -114,7 +113,6 @@ def run_for_sweep_rate(
     )
 
 
-@deprecated_entry_point("fig6")
 @register_experiment(
     "fig6",
     title="Placement and arrival-rate impact (Fig. 6)",

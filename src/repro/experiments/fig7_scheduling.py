@@ -23,7 +23,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.api.deprecation import deprecated_entry_point
 from repro.api.experiments import register_experiment
 from repro.cluster.devices import hdd_service_for_chunk_size, nearest_measured_chunk_size
 from repro.core.algorithm import CacheOptimizer
@@ -81,7 +80,6 @@ def _build_model(
     )
 
 
-@deprecated_entry_point("fig7")
 @register_experiment(
     "fig7",
     title="Cache vs storage chunk scheduling (Fig. 7)",

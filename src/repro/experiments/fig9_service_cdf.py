@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.api.deprecation import deprecated_entry_point
 from repro.api.experiments import register_experiment
 from repro.cluster.devices import HDD_SERVICE_TABLE, hdd_service_for_chunk_size
 
@@ -105,7 +104,6 @@ def _simulated_service_samples(
     return result.metrics.all_latencies()
 
 
-@deprecated_entry_point("fig9")
 @register_experiment(
     "fig9",
     title="Chunk service-time CDF (Fig. 9 / Table IV)",

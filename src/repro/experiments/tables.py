@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api.deprecation import deprecated_entry_point
 from repro.api.experiments import register_experiment
 from repro.cluster.devices import (
     HDD_SERVICE_TABLE,
@@ -77,7 +76,6 @@ def run_table_iv_row(point: Tuple[int, int], samples: int) -> TableIVRow:
     )
 
 
-@deprecated_entry_point("tables")
 @register_experiment(
     "tables",
     title="Tables I, III, IV, V",

@@ -1,17 +1,16 @@
-"""The fault-schedule layer: failures as first-class epoch boundaries.
+"""The fault-schedule layer: OSD failures as a piecewise-constant timeline.
 
 A *fault schedule* describes how the emulated cluster degrades over a
 replay horizon: OSDs crash and come back, whole failure domains go dark,
 stragglers serve chunks several times slower, and background repair
 traffic competes with foreground reads for the same FIFO queues.  The
 replay engines consume a schedule in compiled form -- a
-:class:`FaultTimeline` -- which is deliberately shaped like the epoch
-mechanism that already drives the vectorised replay:
+:class:`FaultTimeline`:
 
 * ``boundaries_ms`` is a sorted stream of instants at which the cluster
-  state changes.  The unified boundary classifier in
-  :mod:`repro.cluster.replay` merges these with the miss/TTL boundaries,
-  so a fault event is just another epoch boundary.
+  state changes.  :mod:`repro.cluster.replay` looks each storage fetch up
+  in its interval; hit/miss classification never reads the timeline, so a
+  fault changes which chunks a miss reads but never which reads miss.
 * Between two boundaries the cluster state is frozen: ``down[i, osd]``
   says whether an OSD is unavailable during interval ``i`` and
   ``slow[i, osd]`` scales its service times (the straggler lane).

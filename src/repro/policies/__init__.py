@@ -1,7 +1,7 @@
 """The pluggable cache-policy layer.
 
-Every caching strategy -- Ceph's replicated LRU tier, the paper's static
-functional cache, and the LFU/ARC/TTL variants -- implements the single
+The two caches the paper compares -- Ceph's replicated LRU tier and the
+static functional cache -- implement the single
 :class:`~repro.policies.base.ChunkCachingPolicy` protocol
 (``observe``/``lookup``/``evict`` plus the chunk-occupancy snapshot), so
 the cluster cache tier, the epoch-batched trace replay and the scenario
@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
-from repro.policies.arc import ARCPolicy
 from repro.policies.base import AccessOutcome, ChunkCachingPolicy, Eviction, PolicyStats
 from repro.policies.functional import StaticFunctionalPolicy, round_robin_allocation
-from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
 from repro.policies.placement import placement_from_trace_replay
-from repro.policies.ttl import TTLPolicy
 
 __all__ = [
     "AccessOutcome",
@@ -29,9 +26,6 @@ __all__ = [
     "Eviction",
     "PolicyStats",
     "LRUPolicy",
-    "LFUPolicy",
-    "ARCPolicy",
-    "TTLPolicy",
     "StaticFunctionalPolicy",
     "round_robin_allocation",
     "placement_from_trace_replay",

@@ -28,20 +28,9 @@ file larger than the whole cache must both take the miss path cleanly
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import (
-    ClassVar,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import CacheError
 
@@ -85,7 +74,7 @@ class AccessOutcome(NamedTuple):
         Whether the miss actually inserted the file (a zero-capacity cache
         or an oversized file misses without promoting).
     evicted:
-        Victims removed to make room (or expired), as ``(file_id, chunks)``.
+        Victims removed to make room, as ``(file_id, chunks)``.
     """
 
     hit: bool
@@ -107,17 +96,6 @@ class ChunkCachingPolicy(ABC):
         Files may also be registered later via :meth:`register_file` (the
         cache tier learns sizes on write).
     """
-
-    #: Whether residency only changes inside ``observe``/``warm``/``evict``
-    #: calls.  Time-driven policies (TTL) set this to ``False`` and implement
-    #: :meth:`next_event_time`/:meth:`advance` so the epoch replay can place
-    #: epoch boundaries at expiry instants.
-    epoch_invariant: ClassVar[bool] = True
-
-    #: Whether :meth:`touch_epoch` needs the per-file access counts
-    #: (frequency-driven policies).  Recency-only policies leave this False
-    #: so the epoch replay can skip count bookkeeping entirely.
-    counts_in_touch: ClassVar[bool] = False
 
     def __init__(
         self,
@@ -188,107 +166,74 @@ class ChunkCachingPolicy(ABC):
         """Whether ``file_id`` is fully resident (all chunks cached)."""
         return self.lookup(file_id) >= self.footprint(file_id)
 
-    def observe(self, file_id: str, now: float = 0.0) -> AccessOutcome:
-        """Record one access to ``file_id`` at time ``now``.
+    def observe(self, file_id: str) -> AccessOutcome:
+        """Record one access to ``file_id``.
 
-        Template method: expires time-driven entries, classifies the access
-        against the current residency, and routes to the policy's hit/miss
-        handlers.  Returns the full :class:`AccessOutcome` so callers can
-        keep exact eviction accounting.
+        Template method: classifies the access against the current
+        residency and routes to the policy's hit/miss handlers.  Returns
+        the full :class:`AccessOutcome` so callers can keep exact eviction
+        accounting.
         """
         self.stats.reads += 1
-        expired = tuple(self.advance(now))
         cached = self.lookup(file_id)
-        footprint = self.footprint(file_id)
-        if cached >= footprint:
-            self._on_hit(file_id, now)
+        if cached >= self.footprint(file_id):
+            self._on_hit(file_id)
             self.stats.hits += 1
-            if expired:
-                self.stats.evicted_chunks += sum(c for _, c in expired)
-            return AccessOutcome(True, cached, False, expired)
-        promoted, evicted = self._on_miss(file_id, now)
+            return AccessOutcome(True, cached)
+        promoted, evicted = self._on_miss(file_id)
         if promoted:
             self.stats.promotions += 1
-        evicted = expired + tuple(evicted)
         self.stats.evicted_chunks += sum(c for _, c in evicted)
-        return AccessOutcome(False, cached, promoted, evicted)
+        return AccessOutcome(False, cached, promoted, tuple(evicted))
 
-    def admit(self, file_id: str, now: float = 0.0) -> AccessOutcome:
+    def admit(self, file_id: str) -> AccessOutcome:
         """Insert ``file_id`` as if freshly written (no read accounting).
 
         The write path of a write-back tier: the object becomes resident
         (evicting victims as needed) but the access does not count as a
         read, hit or promotion in :attr:`stats`.
         """
-        expired = tuple(self.advance(now))
-        if expired:
-            self.stats.evicted_chunks += sum(c for _, c in expired)
         cached = self.lookup(file_id)
         if cached >= self.footprint(file_id):
-            self._on_hit(file_id, now)
-            return AccessOutcome(True, cached, False, expired)
-        promoted, evicted = self._on_miss(file_id, now)
+            self._on_hit(file_id)
+            return AccessOutcome(True, cached)
+        promoted, evicted = self._on_miss(file_id)
         self.stats.evicted_chunks += sum(c for _, c in evicted)
-        return AccessOutcome(False, cached, promoted, expired + tuple(evicted))
+        return AccessOutcome(False, cached, promoted, tuple(evicted))
 
     # ------------------------------------------------------------------
     # Hit/miss handlers implemented by concrete policies
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def _on_hit(self, file_id: str, now: float) -> None:
-        """Update recency/frequency state for a full hit."""
+    def _on_hit(self, file_id: str) -> None:
+        """Update recency state for a full hit."""
 
     @abstractmethod
-    def _on_miss(self, file_id: str, now: float) -> Tuple[bool, List[Eviction]]:
+    def _on_miss(self, file_id: str) -> Tuple[bool, List[Eviction]]:
         """Handle a miss; returns ``(promoted, evicted victims)``."""
-
-    # ------------------------------------------------------------------
-    # Time-driven hooks (TTL-style policies override these)
-    # ------------------------------------------------------------------
-
-    def advance(self, now: float) -> List[Eviction]:
-        """Expire entries whose lifetime ended at or before ``now``."""
-        return []
-
-    def next_event_time(self) -> float:
-        """Earliest future time at which residency changes on its own."""
-        return math.inf
 
     # ------------------------------------------------------------------
     # Bulk entry points used by the epoch replay and warm-up
     # ------------------------------------------------------------------
 
-    def touch_epoch(
-        self,
-        file_ids: Sequence[str],
-        counts: Optional[Sequence[int]] = None,
-        now: float = 0.0,
-        times: Optional[Sequence[float]] = None,
-        total: Optional[int] = None,
-    ) -> None:
-        """Fold a run of full hits into the policy state.
+    def touch_epoch(self, file_ids: Sequence[str], total: int) -> None:
+        """Fold a run of ``total`` full hits into the policy state.
 
         The epoch replay calls this with the *unique* files of a hit run,
-        ordered by their last access (earliest last-access first), plus the
-        run's total access count and -- when :attr:`counts_in_touch` /
-        :attr:`epoch_invariant` demand them -- the per-file access counts
-        and last-access times.  Applying ``_on_hit`` once per unique file
-        in that order reproduces the final state of per-request processing
-        for recency-driven policies; frequency- or time-driven policies
-        override this to consume ``counts``/``times``.
+        ordered by their last access (earliest last-access first).  Applying
+        ``_on_hit`` once per unique file in that order reproduces the final
+        state of per-request processing for a recency-driven policy.
         """
-        if total is None:
-            total = len(file_ids) if counts is None else int(sum(counts))
-        for position, file_id in enumerate(file_ids):
-            self._on_hit(file_id, times[position] if times is not None else now)
+        for file_id in file_ids:
+            self._on_hit(file_id)
         self.stats.reads += total
         self.stats.hits += total
 
-    def warm(self, file_ids: Iterable[str], now: float = 0.0) -> None:
+    def warm(self, file_ids: Iterable[str]) -> None:
         """Pre-populate the cache by admitting files in order (stats reset)."""
         for file_id in file_ids:
-            self.admit(file_id, now)
+            self.admit(file_id)
         self.reset_stats()
 
     def reset_stats(self) -> None:

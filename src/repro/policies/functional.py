@@ -103,9 +103,9 @@ class StaticFunctionalPolicy(ChunkCachingPolicy):
     def used_chunks(self) -> int:
         return sum(self._allocation.values())
 
-    def _on_hit(self, file_id: str, now: float) -> None:
+    def _on_hit(self, file_id: str) -> None:
         pass
 
-    def _on_miss(self, file_id: str, now: float) -> Tuple[bool, List[Eviction]]:
+    def _on_miss(self, file_id: str) -> Tuple[bool, List[Eviction]]:
         # Static: misses never promote and never evict.
         return False, []

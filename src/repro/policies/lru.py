@@ -1,14 +1,79 @@
-"""Least-recently-used whole-object caching (Ceph's cache-tier policy)."""
+"""Least-recently-used whole-object caching (Ceph's cache-tier policy).
+
+Ceph's cache tier stores whole replicated objects in a fast pool and evicts
+the least-recently-used ones when capacity is exceeded; every miss promotes
+the object from the erasure-coded storage tier.  The paper uses this policy
+as its baseline and reports roughly a 25% latency disadvantage against the
+optimized functional cache.
+"""
 
 from __future__ import annotations
 
-import numpy as np
+from collections import OrderedDict
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.baselines.lru import LRUCache
 from repro.exceptions import CacheError
 from repro.policies.base import AccessOutcome, ChunkCachingPolicy, Eviction
+
+
+class LRUCache:
+    """A least-recently-used container with a capacity measured in chunks.
+
+    Keys are arbitrary hashables, each carrying a size in chunks; keys are
+    kept from least to most recently used.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 0:
+            raise CacheError(f"capacity must be non-negative, got {capacity}")
+        self._capacity = int(capacity)
+        self._entries: "OrderedDict[object, int]" = OrderedDict()
+        self._used = 0
+
+    @property
+    def used(self) -> int:
+        """Chunks currently stored."""
+        return self._used
+
+    def keys(self) -> List[object]:
+        """Keys from least to most recently used."""
+        return list(self._entries.keys())
+
+    def peek(self, key: object) -> bool:
+        """Check membership without updating recency."""
+        return key in self._entries
+
+    def touch(self, key: object) -> bool:
+        """Refresh the recency of ``key``; returns whether it was present."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            return True
+        return False
+
+    def insert(self, key: object, size: int = 1) -> List[Tuple[object, int]]:
+        """Insert ``key``; returns the ``(key, size)`` LRU victims evicted."""
+        if size <= 0:
+            raise CacheError(f"entry size must be positive, got {size}")
+        if size > self._capacity:
+            # Object larger than the whole cache: not cacheable, nothing to do.
+            return []
+        if key in self._entries:
+            self._used -= self._entries.pop(key)
+        victims: List[Tuple[object, int]] = []
+        while self._used + size > self._capacity and self._entries:
+            evicted_key, evicted_size = self._entries.popitem(last=False)
+            self._used -= evicted_size
+            victims.append((evicted_key, evicted_size))
+        self._entries[key] = size
+        self._used += size
+        return victims
+
+    def evict(self, key: object) -> bool:
+        """Explicitly remove ``key``; returns whether it was present."""
+        if key in self._entries:
+            self._used -= self._entries.pop(key)
+            return True
+        return False
 
 
 class LRUPolicy(ChunkCachingPolicy):
@@ -53,10 +118,10 @@ class LRUPolicy(ChunkCachingPolicy):
     def used_chunks(self) -> int:
         return self._cache.used
 
-    def _on_hit(self, file_id: str, now: float) -> None:
+    def _on_hit(self, file_id: str) -> None:
         self._cache.touch(file_id)
 
-    def _on_miss(self, file_id: str, now: float) -> Tuple[bool, List[Eviction]]:
+    def _on_miss(self, file_id: str) -> Tuple[bool, List[Eviction]]:
         victims = self._cache.insert(file_id, self._stored_size(file_id))
         promoted = self._cache.peek(file_id)
         evicted = [
@@ -64,39 +129,17 @@ class LRUPolicy(ChunkCachingPolicy):
         ]
         return promoted, evicted
 
-    def observe(self, file_id: str, now: float = 0.0) -> AccessOutcome:
-        # Hot-path specialisation of the base template (no time-driven
-        # hooks, hit == membership): one OrderedDict touch per hit.
+    def observe(self, file_id: str) -> AccessOutcome:
+        # Hot-path specialisation of the base template (hit == membership):
+        # one OrderedDict touch per hit.
         stats = self.stats
         stats.reads += 1
         if self._cache.touch(file_id):
             stats.hits += 1
             return AccessOutcome(True, self.footprint(file_id))
-        promoted, evicted = self._on_miss(file_id, now)
+        promoted, evicted = self._on_miss(file_id)
         if promoted:
             stats.promotions += 1
         if evicted:
             stats.evicted_chunks += sum(chunks for _, chunks in evicted)
         return AccessOutcome(False, 0, promoted, tuple(evicted))
-
-    # ------------------------------------------------------------------
-    # Epoch fast path
-    # ------------------------------------------------------------------
-
-    def touch_epoch(
-        self,
-        file_ids: Sequence[str],
-        counts: Optional[Sequence[int]] = None,
-        now: float = 0.0,
-        times: Optional[Sequence[float]] = None,
-        total: Optional[int] = None,
-    ) -> None:
-        # A run of hits leaves the unique files ordered by last access; one
-        # move_to_end per unique file reproduces per-request processing.
-        touch = self._cache.touch
-        for file_id in file_ids:
-            touch(file_id)
-        if total is None:
-            total = len(file_ids) if counts is None else int(sum(counts))
-        self.stats.reads += total
-        self.stats.hits += total

@@ -1,8 +1,8 @@
 """Turn a cache policy into an analytical cache placement via trace replay.
 
 The optimize/schedule/simulate pipeline works on a static
-:class:`~repro.core.placement.CachePlacement`; a dynamic policy (LRU, LFU,
-ARC, TTL) has no closed-form placement.  The bridge is a seeded synthetic
+:class:`~repro.core.placement.CachePlacement`; a dynamic policy (Ceph's
+LRU tier) has no closed-form placement.  The bridge is a seeded synthetic
 trace: draw a Poisson request stream from the model's arrival rates, replay
 it through the policy, and freeze the final chunk-occupancy snapshot into a
 functional placement with uniform scheduling.  This is exactly how the
@@ -48,9 +48,9 @@ def placement_from_trace_replay(
     rng = np.random.default_rng(seed)
     if total_rate > 0 and target_requests > 0:
         horizon = target_requests / total_rate
-        times, positions, file_ids = generate_request_arrays(rates, horizon, rng)
-        for position, time in zip(positions, times):
-            policy.observe(file_ids[int(position)], now=float(time))
+        _, positions, file_ids = generate_request_arrays(rates, horizon, rng)
+        for position in positions.tolist():
+            policy.observe(file_ids[position])
     allocation = {
         file_id: min(chunks, model.file(file_id).k)
         for file_id, chunks in policy.occupancy().items()

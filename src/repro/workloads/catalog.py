@@ -8,12 +8,12 @@ and select workloads through the registry (``Scenario(workload=...)``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.model import FileSpec, StorageSystemModel
-from repro.core.timebins import TimeBin
 from repro.exceptions import ModelError, WorkloadError
 from repro.queueing.distributions import ExponentialService
 
@@ -222,6 +222,24 @@ def ten_file_model(
     return StorageSystemModel(
         services=services, files=files, cache_capacity=cache_capacity
     )
+
+
+@dataclass
+class TimeBin:
+    """One stationary period with its own per-file arrival rates."""
+
+    index: int
+    duration: float
+    arrival_rates: Dict[str, float]
+
+    def __post_init__(self) -> None:
+        if self.duration <= 0:
+            raise ModelError(f"time bin {self.index}: duration must be positive")
+        for file_id, rate in self.arrival_rates.items():
+            if rate < 0:
+                raise ModelError(
+                    f"time bin {self.index}: negative arrival rate for {file_id!r}"
+                )
 
 
 def table_i_time_bins(duration: float = 100.0) -> List[TimeBin]:

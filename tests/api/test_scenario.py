@@ -172,7 +172,7 @@ class TestRegistries:
         assert set(list_workloads()) == {
             "paper_default", "ten_file", "diurnal", "flash_crowd", "drift", "trace",
         }
-        assert set(list_policies()) == {"lru", "lfu", "arc", "ttl", "functional_static"}
+        assert set(list_policies()) == {"lru", "functional_static"}
         assert set(list_experiments()) == {
             "fig3", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11",
             "fig12", "fig13", "fig14", "tables", "scenario",

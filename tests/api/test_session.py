@@ -131,8 +131,7 @@ class TestParityWithLegacyApi:
     def test_registry_fig4_matches_legacy_module_run(self):
         kwargs = dict(cache_sizes=(0, 30, 60), num_files=30)
         via_registry = get_experiment("fig4").run(scale="fast", **kwargs)
-        with pytest.warns(DeprecationWarning):
-            legacy = fig4_cache_size.run(**kwargs)
+        legacy = fig4_cache_size.run(**kwargs)
         assert via_registry.latencies() == legacy.latencies()
         assert [p.cached_chunks for p in via_registry.points] == [
             p.cached_chunks for p in legacy.points

@@ -1,4 +1,4 @@
-"""Tests for the LRU, exact-caching and static baseline policies."""
+"""Tests for the baselines: Ceph's LRU container, exact caching and static placements."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.baselines.exact import (
     exact_caching_placement,
     popularity_allocation,
 )
-from repro.baselines.lru import LRUCache, LRUChunkCachingPolicy
 from repro.baselines.static import (
     exact_vs_functional_bounds,
     functional_placement_from_allocation,
@@ -24,6 +23,7 @@ from repro.baselines.static import (
 from repro.core.model import FileSpec, StorageSystemModel
 from repro.core.vectorized import SolutionState
 from repro.exceptions import CacheError, ModelError
+from repro.policies.lru import LRUCache
 from repro.queueing.distributions import (
     ExponentialService,
     ShiftedExponentialService,
@@ -33,28 +33,26 @@ from repro.queueing.distributions import (
 class TestLRUCache:
     def test_hit_miss_and_eviction_order(self):
         cache = LRUCache(capacity=3)
-        assert not cache.access("a")
-        assert not cache.access("b")
-        assert not cache.access("c")
-        assert cache.access("a")          # a becomes most recently used
-        assert not cache.access("d")      # evicts b (the LRU entry)
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache and "d" in cache
-        assert cache.stats.evictions == 1
-        assert cache.stats.hit_ratio == pytest.approx(1 / 5)
+        for key in "abc":
+            assert not cache.touch(key)
+            assert cache.insert(key) == []
+        assert cache.touch("a")              # a becomes most recently used
+        assert cache.insert("d") == [("b", 1)]  # evicts b (the LRU entry)
+        assert not cache.peek("b")
+        assert cache.keys() == ["c", "a", "d"]
 
     def test_sized_entries(self):
         cache = LRUCache(capacity=10)
         cache.insert("big", size=6)
         cache.insert("medium", size=4)
-        cache.insert("small", size=2)     # evicts "big"
-        assert "big" not in cache
+        assert cache.insert("small", size=2) == [("big", 6)]
+        assert not cache.peek("big")
         assert cache.used == 6
 
     def test_oversized_entry_not_cached(self):
         cache = LRUCache(capacity=4)
-        cache.insert("huge", size=10)
-        assert "huge" not in cache
+        assert cache.insert("huge", size=10) == []
+        assert not cache.peek("huge")
         assert cache.used == 0
 
     def test_peek_does_not_touch_recency(self):
@@ -63,22 +61,21 @@ class TestLRUCache:
         cache.insert("b")
         cache.peek("a")
         cache.insert("c")  # evicts "a" because peek did not refresh it
-        assert "a" not in cache
+        assert not cache.peek("a")
 
-    def test_explicit_evict_and_clear(self):
+    def test_explicit_evict(self):
         cache = LRUCache(capacity=2)
         cache.insert("a")
+        cache.insert("b")
         assert cache.evict("a")
         assert not cache.evict("a")
-        cache.insert("b")
-        cache.clear()
-        assert len(cache) == 0 and cache.used == 0
+        assert cache.keys() == ["b"] and cache.used == 1
 
     def test_validation(self):
         with pytest.raises(CacheError):
             LRUCache(capacity=-1)
         with pytest.raises(CacheError):
-            LRUCache(capacity=2).access("a", size=0)
+            LRUCache(capacity=2).insert("a", size=0)
 
     @given(
         operations=st.lists(
@@ -92,41 +89,12 @@ class TestLRUCache:
     def test_property_capacity_never_exceeded(self, operations, capacity):
         cache = LRUCache(capacity=capacity)
         for key, size in operations:
-            cache.access(key, size=size)
+            if not cache.touch(key):
+                cache.insert(key, size=size)
             assert cache.used <= capacity
             assert cache.used == sum(
                 size_ for size_ in cache._entries.values()  # noqa: SLF001
             )
-
-
-class TestLRUChunkCachingPolicy:
-    def test_whole_object_granularity(self):
-        policy = LRUChunkCachingPolicy(
-            capacity_chunks=8, chunks_per_file={"a": 4, "b": 4, "c": 4}
-        )
-        hit, cached = policy.on_request("a")
-        assert not hit and cached == 0
-        hit, cached = policy.on_request("a")
-        assert hit and cached == 4
-        policy.on_request("b")
-        policy.on_request("c")  # evicts "a"
-        assert policy.cached_chunks("a") == 0
-        assert set(policy.cached_files()) == {"b", "c"}
-
-    def test_warm_and_unknown_file(self):
-        policy = LRUChunkCachingPolicy(capacity_chunks=8, chunks_per_file={"a": 4})
-        policy.warm(["a"])
-        assert policy.cached_chunks("a") == 4
-        with pytest.raises(CacheError):
-            policy.on_request("unknown")
-
-    def test_replication_inflates_footprint(self):
-        policy = LRUChunkCachingPolicy(
-            capacity_chunks=8, chunks_per_file={"a": 4, "b": 4}, replication=2
-        )
-        policy.on_request("a")
-        policy.on_request("b")  # 8 chunks each with replication -> "a" evicted
-        assert policy.cached_chunks("a") == 0
 
 
 class TestExactCaching:

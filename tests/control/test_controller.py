@@ -160,6 +160,16 @@ class TestOnlineController:
         assert by_vector.report.kind == "warm"
         assert by_vector.index == by_id.index + 1
 
+    def test_process_bin_placements_are_valid_per_bin(self, small_model):
+        controller = OnlineController(small_model, alternation_tolerance=0.01)
+        base = {spec.file_id: spec.arrival_rate for spec in small_model.files}
+        hot_second_bin = dict(base)
+        hot_second_bin["file-5"] = 0.12  # file-5 becomes the hottest
+        for index, rates in enumerate((base, hot_second_bin, base), start=1):
+            record = controller.process_bin(rates, index=index)
+            record.placement.validate_against(small_model.copy_with_arrival_rates(rates))
+            assert record.placement.time_bin == index
+
     def test_process_bin_validates_inputs(self, small_model):
         controller = OnlineController(small_model)
         with pytest.raises(ControlError):

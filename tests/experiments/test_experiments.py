@@ -271,13 +271,12 @@ class TestRunner:
         assert "fig11" in text
 
 
-class TestDeprecatedDirectCalls:
-    def test_direct_run_call_warns_but_matches_registry(self):
+class TestDirectCalls:
+    def test_direct_run_call_matches_registry(self):
         spec = get_experiment("fig9")
         via_registry = spec.run(scale="fast", samples_per_size=800)
-        with pytest.warns(DeprecationWarning, match="fig9_service_cdf.run"):
-            legacy = fig9_service_cdf.run(samples_per_size=800)
-        # Same seed, same code path: the shim only adds the warning.
+        legacy = fig9_service_cdf.run(samples_per_size=800)
+        # Same seed, same code path.
         assert [cdf.sample_mean_ms for cdf in legacy.cdfs] == [
             cdf.sample_mean_ms for cdf in via_registry.cdfs
         ]

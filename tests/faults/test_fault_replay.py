@@ -7,6 +7,10 @@ The two load-bearing guarantees of the failure suite:
   fault layer cost nothing when nothing fails;
 * under a **real** schedule the epoch and request engines still agree:
   counters exactly, per-request latencies to float reassociation.
+
+A third property underwrites the epoch classifier: faults act on storage
+fetches only, so a faulted replay classifies every read exactly like the
+healthy one.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api.scenario import Scenario
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.replay import ClusterReplay, ReplayTrace
 from repro.exceptions import ScenarioError
-from repro.faults import FaultWindow, GeneratedFaultSchedule, timeline_from_windows
+from repro.faults import GeneratedFaultSchedule, compile_fault_schedule, timeline_from_windows
 
 
 def zipf_rates(num_objects: int, alpha: float, total_rate: float):
@@ -92,37 +96,6 @@ class TestEngineEquivalenceUnderFaults:
         assert epoch.repair_jobs > 0
         assert_engines_match(reference, epoch)
 
-    def test_ttl_policy_with_faults(self):
-        replay, trace = make_replay(policy="ttl", params={"ttl": 50_000.0})
-        kwargs = {
-            "faults": "osd_crash",
-            "fault_params": {"crash_rate": 5e-4, "downtime_ms": 20_000.0},
-        }
-        reference = replay.run(trace, engine="request", seed=3, **kwargs)
-        epoch = replay.run(trace, engine="epoch", seed=3, **kwargs)
-        assert_engines_match(reference, epoch)
-
-    def test_epoch_length_one_with_faults_matches_request(self):
-        replay, trace = make_replay()
-        kwargs = {"faults": "degraded_read", "fault_params": {"fraction": 0.25}}
-        reference = replay.run(trace, engine="request", seed=3, **kwargs)
-        epoch = replay.run(trace, engine="epoch", seed=3, epoch_length=1, **kwargs)
-        assert_engines_match(reference, epoch)
-
-    def test_fixed_epochs_cut_at_fault_boundaries(self):
-        # A coarse fixed epoch still reacts to the outage boundary: the
-        # boundary clock forces an epoch break there, so degraded reads
-        # appear in both engines with identical counts.
-        replay, trace = make_replay()
-        kwargs = {
-            "faults": "degraded_read",
-            "fault_params": {"fraction": 0.25, "start_ms": 100_000.0},
-        }
-        exact = replay.run(trace, engine="epoch", seed=3, **kwargs)
-        coarse = replay.run(trace, engine="epoch", seed=3, epoch_length=64, **kwargs)
-        assert coarse.degraded_reads > 0
-        assert coarse.failed_reads == exact.failed_reads
-
 
 class TestEmptyScheduleBitEquality:
     @settings(max_examples=15, deadline=None)
@@ -161,6 +134,67 @@ class TestEmptyScheduleBitEquality:
         healthy = replay.run(trace, engine="epoch", seed=3)
         faulted = replay.run(trace, engine="epoch", seed=3, faults=timeline)
         assert np.array_equal(faulted.latencies_ms, healthy.latencies_ms)
+
+
+FAULT_SCHEDULES = st.one_of(
+    st.tuples(
+        st.just("osd_crash"),
+        st.fixed_dictionaries(
+            {
+                "crash_rate": st.floats(min_value=2e-3, max_value=2e-2),
+                "downtime_ms": st.floats(min_value=1_000.0, max_value=60_000.0),
+            }
+        ),
+    ),
+    st.tuples(
+        st.just("degraded_read"),
+        st.fixed_dictionaries(
+            {
+                "fraction": st.floats(min_value=0.1, max_value=1.0),
+                "start_ms": st.floats(min_value=1.0, max_value=250_000.0),
+                "duration_ms": st.floats(min_value=1_000.0, max_value=100_000.0),
+            }
+        ),
+    ),
+)
+
+
+class TestClassificationIgnoresFaults:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_objects=st.integers(min_value=5, max_value=40),
+        alpha=st.floats(min_value=0.5, max_value=2.5),
+        capacity_share=st.floats(min_value=0.0, max_value=1.25),
+        policy=st.sampled_from(["lru", "functional_static"]),
+        schedule=FAULT_SCHEDULES,
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_faulted_replay_classifies_like_healthy(
+        self, num_objects, alpha, capacity_share, policy, schedule, seed
+    ):
+        # Capacity runs from an empty cache to past the whole working set.
+        cache_objects = int(round(capacity_share * num_objects))
+        rates = zipf_rates(num_objects, alpha, 4.0)
+        config = ClusterConfig(
+            object_size_mb=64, cache_capacity_mb=64 * cache_objects, seed=5
+        )
+        trace = ReplayTrace.from_rates(rates, 300.0, seed=seed)
+        replay = ClusterReplay(config, list(rates), policy=policy)
+        name, params = schedule
+        timeline = compile_fault_schedule(
+            name,
+            params,
+            num_osds=config.num_osds,
+            horizon_ms=float(trace.times_ms[-1]) + 1.0,
+            seed=seed,
+        )
+        assume(not timeline.trivial)
+        healthy = replay.run(trace, engine="epoch", seed=seed)
+        faulted = replay.run(trace, engine="epoch", seed=seed, faults=timeline)
+        assert np.array_equal(faulted.hit_mask, healthy.hit_mask)
+        assert faulted.promotions == healthy.promotions
+        assert faulted.evictions_mb == healthy.evictions_mb
+        assert faulted.chunks_from_cache == healthy.chunks_from_cache
 
 
 class TestDegenerateFaults:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +10,9 @@ from repro.api import POLICIES, Scenario, get_policy, list_policies, run_scenari
 from repro.api.registry import register_policy
 from repro.exceptions import CacheError, RegistryError, ScenarioError
 from repro.policies import (
-    ARCPolicy,
     ChunkCachingPolicy,
-    LFUPolicy,
     LRUPolicy,
     StaticFunctionalPolicy,
-    TTLPolicy,
     create_policy,
     placement_from_trace_replay,
     round_robin_allocation,
@@ -25,12 +20,13 @@ from repro.policies import (
 
 FILES = {"a": 4, "b": 4, "c": 4, "d": 4}
 
+# The ids are the positions these factories held when LFU, ARC and TTL sat
+# between them, so each case keeps its test name.
 ALL_POLICIES = [
-    lambda capacity: LRUPolicy(capacity, FILES),
-    lambda capacity: LFUPolicy(capacity, FILES),
-    lambda capacity: ARCPolicy(capacity, FILES),
-    lambda capacity: TTLPolicy(capacity, FILES, ttl=100.0),
-    lambda capacity: StaticFunctionalPolicy(capacity, FILES),
+    pytest.param(lambda capacity: LRUPolicy(capacity, FILES), id="<lambda>0"),
+    pytest.param(
+        lambda capacity: StaticFunctionalPolicy(capacity, FILES), id="<lambda>4"
+    ),
 ]
 
 
@@ -38,16 +34,16 @@ class TestProtocol:
     @pytest.mark.parametrize("factory", ALL_POLICIES)
     def test_capacity_is_never_exceeded(self, factory):
         policy = factory(8)
-        for access, file_id in enumerate("abcdabcdaabbccdd"):
-            policy.observe(file_id, now=float(access))
+        for file_id in "abcdabcdaabbccdd":
+            policy.observe(file_id)
             assert policy.used_chunks <= 8
             assert sum(policy.occupancy().values()) == policy.used_chunks
 
     @pytest.mark.parametrize("factory", ALL_POLICIES)
     def test_zero_capacity_yields_clean_misses(self, factory):
         policy = factory(0)
-        for access, file_id in enumerate("abcabc"):
-            outcome = policy.observe(file_id, now=float(access))
+        for file_id in "abcabc":
+            outcome = policy.observe(file_id)
             assert not outcome.hit
             assert not outcome.promoted
         assert policy.stats.hit_ratio == 0.0
@@ -67,8 +63,8 @@ class TestProtocol:
         policy = factory(8)
         inserted = policy.used_chunks  # static policies start pre-allocated
         evicted = 0
-        for access, file_id in enumerate("abcdabcd"):
-            outcome = policy.observe(file_id, now=float(access))
+        for file_id in "abcdabcd":
+            outcome = policy.observe(file_id)
             if outcome.promoted:
                 inserted += policy.footprint(file_id)
             evicted += sum(chunks for _, chunks in outcome.evicted)
@@ -118,7 +114,7 @@ class TestLRU:
         for file_id in run:
             sequential.observe(file_id)
         # unique files ordered by last access: c (1), b (3), a (4)
-        folded.touch_epoch(["c", "b", "a"], counts=[1, 1, 3], total=5)
+        folded.touch_epoch(["c", "b", "a"], total=5)
         assert sequential.occupancy() == folded.occupancy()
         assert list(sequential._cache.keys()) == list(folded._cache.keys())
         assert sequential.stats.hits == folded.stats.hits
@@ -128,78 +124,6 @@ class TestLRU:
         policy.observe("a")
         outcome = policy.observe("b")  # 8 chunks each replicated -> a evicted
         assert dict(outcome.evicted) == {"a": 4}
-
-
-class TestLFU:
-    def test_frequency_beats_recency(self):
-        policy = LFUPolicy(8, FILES)
-        policy.observe("a")
-        policy.observe("a")
-        policy.observe("a")
-        policy.observe("b")
-        outcome = policy.observe("c")  # b has the lowest count
-        assert dict(outcome.evicted) == {"b": 4}
-        assert policy.resident("a")
-
-    def test_tie_breaks_by_recency(self):
-        policy = LFUPolicy(8, FILES)
-        policy.observe("a")
-        policy.observe("b")  # same count; a is older
-        outcome = policy.observe("c")
-        assert dict(outcome.evicted) == {"a": 4}
-
-
-class TestARC:
-    def test_ghost_hit_adapts_and_promotes_to_t2(self):
-        policy = ARCPolicy(8, FILES)
-        policy.observe("a")
-        policy.observe("b")
-        policy.observe("c")          # evicts a into the B1 ghost list
-        outcome = policy.observe("a")  # ghost hit: re-promoted (to T2)
-        assert not outcome.hit
-        assert outcome.promoted
-        assert policy.resident("a")
-
-    def test_repeated_access_moves_to_t2(self):
-        policy = ARCPolicy(16, FILES)
-        policy.observe("a")
-        policy.observe("a")
-        assert "a" in policy._t2  # noqa: SLF001 - structural assertion
-
-
-class TestTTL:
-    def test_entries_expire(self):
-        policy = TTLPolicy(16, FILES, ttl=10.0)
-        policy.observe("a", now=0.0)
-        assert policy.resident("a")
-        outcome = policy.observe("b", now=11.0)
-        assert ("a", 4) in outcome.evicted
-        assert not policy.resident("a")
-
-    def test_next_event_time_tracks_earliest_expiry(self):
-        policy = TTLPolicy(16, FILES, ttl=10.0)
-        assert policy.next_event_time() == math.inf
-        policy.observe("a", now=2.0)
-        assert policy.next_event_time() == pytest.approx(12.0)
-
-    def test_infinite_ttl_degenerates_to_fifo(self):
-        policy = TTLPolicy(8, FILES)
-        policy.observe("a", now=0.0)
-        policy.observe("b", now=1.0)
-        policy.observe("a", now=2.0)   # hit; FIFO order unchanged
-        outcome = policy.observe("c", now=3.0)
-        assert dict(outcome.evicted) == {"a": 4}
-
-    def test_refresh_on_hit_slides_the_window(self):
-        policy = TTLPolicy(16, FILES, ttl=10.0, refresh_on_hit=True)
-        policy.observe("a", now=0.0)
-        policy.observe("a", now=8.0)   # refresh -> expires at 18
-        policy.observe("b", now=12.0)
-        assert policy.resident("a")
-
-    def test_invalid_ttl_rejected(self):
-        with pytest.raises(CacheError):
-            TTLPolicy(8, FILES, ttl=0.0)
 
 
 class TestStaticFunctional:
@@ -231,16 +155,16 @@ class TestPropertyInvariants:
     @given(
         accesses=st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=150),
         capacity=st.integers(min_value=0, max_value=24),
-        which=st.sampled_from(["lru", "lfu", "arc", "ttl"]),
+        which=st.sampled_from(["lru", "functional_static"]),
     )
     @settings(max_examples=60, deadline=None)
     def test_capacity_and_accounting_invariants(self, accesses, capacity, which):
         files = {f"f{index}": 3 for index in range(8)}
         policy = create_policy(which, capacity, files)
-        inserted = 0
+        inserted = policy.used_chunks  # the static policy starts pre-allocated
         evicted = 0
-        for step, index in enumerate(accesses):
-            outcome = policy.observe(f"f{index}", now=float(step))
+        for index in accesses:
+            outcome = policy.observe(f"f{index}")
             if outcome.promoted:
                 inserted += 3
             evicted += sum(chunks for _, chunks in outcome.evicted)
@@ -252,7 +176,7 @@ class TestPropertyInvariants:
 
 class TestRegistryIntegration:
     def test_builtin_policies_registered(self):
-        assert {"lru", "lfu", "arc", "ttl", "functional_static"} <= set(list_policies())
+        assert set(list_policies()) == {"lru", "functional_static"}
 
     def test_get_policy_spec(self):
         spec = get_policy("lru")
@@ -261,9 +185,9 @@ class TestRegistryIntegration:
         assert isinstance(spec.factory(8, FILES), ChunkCachingPolicy)
 
     def test_create_policy_forwards_params(self):
-        policy = create_policy("ttl", 8, FILES, ttl=5.0)
-        policy.observe("a", now=0.0)
-        assert policy.next_event_time() == pytest.approx(5.0)
+        policy = create_policy("lru", 8, FILES, replication=2)
+        policy.observe("a")
+        assert policy.used_chunks == 8
 
     def test_register_policy_plugin_round_trip(self):
         @register_policy("test_only_policy", description="plugin stub")
@@ -281,7 +205,7 @@ class TestRegistryIntegration:
 
 
 class TestScenarioIntegration:
-    @pytest.mark.parametrize("name", ["lru", "lfu", "ttl", "functional_static", "arc"])
+    @pytest.mark.parametrize("name", ["lru", "functional_static"])
     def test_policy_scenarios_run_end_to_end(self, name):
         result = run_scenario(
             Scenario(
@@ -307,8 +231,8 @@ class TestScenarioIntegration:
             Scenario(
                 num_files=12,
                 cache_capacity=8,
-                policy="ttl",
-                policy_params={"ttl": 1e12},
+                policy="lru",
+                policy_params={"replication": 2},
                 simulate=False,
             )
         )
@@ -316,9 +240,9 @@ class TestScenarioIntegration:
 
     def test_policy_params_rejected_for_non_policies(self):
         with pytest.raises(ScenarioError, match="policy_params"):
-            Scenario(policy="optimal", policy_params={"ttl": 1.0})
+            Scenario(policy="optimal", policy_params={"replication": 2})
         with pytest.raises(ScenarioError, match="policy_params"):
-            Scenario(policy="no_cache", policy_params={"ttl": 1.0})
+            Scenario(policy="no_cache", policy_params={"replication": 2})
 
     def test_unknown_policy_error_lists_both_registries(self):
         with pytest.raises(RegistryError, match="unknown baseline or cache policy") as excinfo:
@@ -327,7 +251,7 @@ class TestScenarioIntegration:
         assert "no_cache" in message and "lru" in message
 
     def test_scenario_dict_round_trip_with_policy(self):
-        scenario = Scenario(policy="ttl", policy_params={"ttl": 9.0})
+        scenario = Scenario(policy="lru", policy_params={"replication": 3})
         rebuilt = Scenario.from_dict(scenario.to_dict())
         assert rebuilt == scenario
 

@@ -12,6 +12,7 @@ from repro.workloads.catalog import (
     DEFAULT_SERVICE_RATES,
     TABLE_I_ARRIVAL_RATES,
     TABLE_III_WORKLOAD,
+    TimeBin,
     aggregate_rate_to_per_object,
     paper_default_model,
     table_i_time_bins,
@@ -74,6 +75,14 @@ class TestDefaults:
             ten_file_model(arrival_rates=[0.1, 0.2])
         with pytest.raises(ModelError):
             ten_file_model(placement_mode="bogus")
+
+
+class TestTimeBin:
+    def test_validation(self):
+        with pytest.raises(ModelError):
+            TimeBin(index=1, duration=0.0, arrival_rates={})
+        with pytest.raises(ModelError):
+            TimeBin(index=1, duration=1.0, arrival_rates={"f": -0.1})
 
 
 class TestTraces:
