@@ -10,7 +10,7 @@ the same seeded trace is replayed three ways --
 
 on a hot-set Zipf workload (the high-hit-ratio regime a cache tier is
 provisioned for).  The epoch engine must be >= 8x faster than the
-per-request emulation (measured ~10-12x; the gate leaves noise headroom) while classifying every request identically (hit
+per-request emulation (measured ~16-24x; the gate leaves noise headroom) while classifying every request identically (hit
 counters match the legacy tier exactly, and all counters plus latencies
 match the reference engine to ~1e-12).  Results land in
 ``BENCH_cluster_replay.json``.
@@ -27,7 +27,7 @@ from repro.cluster.cluster import CephLikeCluster, ClusterConfig
 from repro.cluster.replay import ClusterReplay, ReplayTrace
 
 #: Required wall-clock advantage of the epoch engine over the per-request
-#: cluster emulation (CI gate).  Measured speedup is ~10-12x, but the
+#: cluster emulation (CI gate).  Measured speedup is ~16-24x, but the
 #: denominator is a sub-second epoch-engine run, so shared-runner noise
 #: easily costs 10-20%: the gate sits at 8x to leave real headroom while
 #: still failing on any genuine regression of the vectorised path.

@@ -8,23 +8,24 @@ FIFO HDD OSDs, fork-join over the fetched chunks, a small bank of SSD cache
 devices serving hits and landing promotions).  Two engines replay the same
 trace over the *same randomness*:
 
-* ``engine="request"`` -- the reference per-request event loop: one policy
+* ``engine="request"`` -- the reference per-request event loop: the base
+  :meth:`~repro.policies.base.ChunkCachingPolicy.classify`, one policy
   ``observe`` per request in arrival order, then a scalar queue update per
   miss chunk and a scalar two-server SSD pass.
 
-* ``engine="epoch"`` -- the epoch-batched engine.  Cache state is frozen
-  for an epoch of requests, so hit classification is a residency lookup;
-  per-OSD FIFO departures (Lindley scans), the fork-join maxima and the
-  SSD multi-server queue are computed in bulk with the batch-engine
-  primitives; evictions and promotions are applied at epoch boundaries.
-  The engine places a boundary at every miss, which preserves per-request
-  semantics *exactly*: a run of full hits changes recency state but never
-  residency, so folding the run into the policy at the boundary
-  (:meth:`~repro.policies.base.ChunkCachingPolicy.touch_epoch`) reproduces
-  the per-request state evolution.  Hit/miss/promotion/eviction counters
-  match the request engine exactly and latency statistics agree to within
-  floating-point reassociation (~1e-12 relative; the closed-form Lindley
-  scans regroup the same additions).
+* ``engine="epoch"`` -- the batched engine.  Hit/miss classification is
+  one bulk ``classify`` pass of the policy itself: LRU walks its own
+  ``OrderedDict`` once (move to the MRU end on a hit, evict from the LRU
+  end and insert on a miss), and the static functional cache, whose
+  residency never changes, gathers each request's cached chunk count
+  ``d_i``.  A policy without an override falls back to the per-request
+  loop, so every policy classifies *exactly* as in the request engine.
+  Per-OSD FIFO departures (Lindley scans), the fork-join maxima and the
+  SSD multi-server queue are then computed in bulk with the batch-engine
+  primitives.  Hit/miss/promotion/eviction counters match the request
+  engine exactly and latency statistics agree to within floating-point
+  reassociation (~1e-12 relative; the closed-form Lindley scans regroup
+  the same additions).
 
 Randomness is decomposed so the two engines consume identical draws: the
 classification pass touches no generator at all, and the storage-node
@@ -79,7 +80,6 @@ from repro.policies import ChunkCachingPolicy, create_policy
 from repro.simulation.arrivals import generate_request_arrays
 from repro.kernels import (
     fifo_departures_grouped,
-    last_access_fold,
     multi_server_departures,
     segment_max,
 )
@@ -241,12 +241,6 @@ class ReplayResult:
 #: How a policy may be supplied: a registered name or a factory
 #: ``(capacity_chunks, chunks_per_file, **params) -> ChunkCachingPolicy``.
 PolicyLike = Union[str, Callable[..., ChunkCachingPolicy]]
-
-#: Hit-run length at which the exact engine switches from the Python scan
-#: to vectorised block classification, and the initial vector block size.
-_VECTOR_THRESHOLD = 96
-_VECTOR_BLOCK = 512
-_VECTOR_BLOCK_MAX = 65536
 
 
 @dataclass(frozen=True)
@@ -451,11 +445,9 @@ class ClusterReplay:
 
         # Phase 1 (engine-specific): hit/miss classification and policy
         # state evolution.  Touches no random stream and no fault state.
-        if engine == "request":
-            classified = self._classify_requests(positions)
-        else:
-            classified = self._classify_epochs(positions)
-        hit_mask, cached_chunks, promotions, evicted_chunks = classified
+        hit_mask, cached_chunks, promotions, evicted_chunks = self._classify(
+            positions, engine
+        )
 
         # Phase 2 (shared): per-miss randomness, drawn identically for both
         # engines from one root seed.
@@ -507,133 +499,21 @@ class ClusterReplay:
         )
 
     # ------------------------------------------------------------------
-    # Classification, reference engine: one observe per request
+    # Classification
     # ------------------------------------------------------------------
 
-    def _classify_requests(self, positions):
-        policy = self._build_policy()
-        num_requests = positions.size
-        k = self._k
-        ids = self._object_ids
-        hit_mask = np.zeros(num_requests, dtype=bool)
-        cached_chunks = np.zeros(num_requests, dtype=np.int64)
-        promotions = 0
-        evicted_chunks = 0
-        observe = policy.observe
-        for request, at in enumerate(positions.tolist()):
-            outcome = observe(ids[at])
-            if outcome.promoted:
-                promotions += 1
-            for _, chunks in outcome.evicted:
-                evicted_chunks += chunks
-            if outcome.hit:
-                hit_mask[request] = True
-                cached_chunks[request] = k
-            else:
-                cached_chunks[request] = outcome.cached_chunks
-        return hit_mask, cached_chunks, promotions, evicted_chunks
+    def _classify(self, positions, engine):
+        """Classify every request with a fresh policy.
 
-    # ------------------------------------------------------------------
-    # Classification, epoch engine
-    # ------------------------------------------------------------------
-
-    def _classify_epochs(self, positions):
-        """One epoch per run of hits, a boundary at every miss.
-
-        A run of full hits never changes residency, so classifying against
-        the residency snapshot is exact; the run is folded into the policy
-        (unique files in last-access order) before the boundary miss is
-        observed.  Short runs are scanned in plain Python (per-epoch numpy
-        calls on tiny slices cost more than they vectorise); once a run
-        exceeds :data:`_VECTOR_THRESHOLD` the scan switches to doubling
-        vectorised blocks, so high-hit-ratio traces classify at array speed.
-        Cutting a hit run into blocks stays exact because ``touch_epoch``
-        folds are associative across a split.
+        The request engine runs the base per-request ``observe`` loop, the
+        epoch engine the policy's own bulk pass.  The per-request id array
+        is freed on return, before the fetch plan's memory peak.
         """
         policy = self._build_policy()
-        num_requests = positions.size
-        k = self._k
-        ids = self._object_ids
-        index = self._object_index
-        lookup = policy.lookup
-        touch_epoch = policy.touch_epoch
-
-        resident = [False] * len(ids)
-        for object_id, chunks in policy.occupancy().items():
-            resident[index[object_id]] = chunks >= k
-        resident_array = np.asarray(resident, dtype=bool)
-
-        hit_mask = np.zeros(num_requests, dtype=bool)
-        cached_chunks = np.zeros(num_requests, dtype=np.int64)
-        promotions = 0
-        evicted_chunks = 0
-        positions_list = positions.tolist()
-
-        def handle_miss(request: int) -> None:
-            nonlocal promotions, evicted_chunks
-            at = positions_list[request]
-            outcome = policy.observe(ids[at])
-            if outcome.promoted:
-                promotions += 1
-            for object_id, chunks in outcome.evicted:
-                evicted_chunks += chunks
-                victim = index[object_id]
-                full = lookup(object_id) >= k
-                resident[victim] = full
-                resident_array[victim] = full
-            full = lookup(ids[at]) >= k
-            resident[at] = full
-            resident_array[at] = full
-            cached_chunks[request] = outcome.cached_chunks
-
-        def fold_array(block: np.ndarray, start: int) -> None:
-            unique_positions, _, _ = last_access_fold(block)
-            touch_epoch([ids[at] for at in unique_positions.tolist()], int(block.size))
-            hit_mask[start : start + block.size] = True
-            cached_chunks[start : start + block.size] = k
-
-        cursor = 0
-        vector_block = 0
-        while cursor < num_requests:
-            if vector_block:
-                end = min(cursor + vector_block, num_requests)
-                block = positions[cursor:end]
-                mask = resident_array[block]
-                if mask.all():
-                    fold_array(block, cursor)
-                    cursor = end
-                    vector_block = min(vector_block * 2, _VECTOR_BLOCK_MAX)
-                    continue
-                first_miss = int(np.argmin(mask))
-                if first_miss:
-                    fold_array(block[:first_miss], cursor)
-                handle_miss(cursor + first_miss)
-                cursor += first_miss + 1
-                vector_block = 0
-                continue
-            # Python scan for short runs.
-            run_last: Dict[int, int] = {}
-            scan = cursor
-            streak_cap = cursor + _VECTOR_THRESHOLD
-            while scan < num_requests:
-                at = positions_list[scan]
-                if not resident[at]:
-                    break
-                run_last[at] = scan
-                scan += 1
-                if scan >= streak_cap:
-                    vector_block = _VECTOR_BLOCK
-                    break
-            if scan > cursor:
-                order = sorted(run_last, key=run_last.__getitem__)
-                touch_epoch([ids[at] for at in order], scan - cursor)
-                hit_mask[cursor:scan] = True
-                cached_chunks[cursor:scan] = k
-            if scan < num_requests and not vector_block:
-                handle_miss(scan)
-                scan += 1
-            cursor = scan
-        return hit_mask, cached_chunks, promotions, evicted_chunks
+        file_ids = np.asarray(self._object_ids, dtype=object)[positions]
+        if engine == "request":
+            return ChunkCachingPolicy.classify(policy, file_ids)
+        return policy.classify(file_ids)
 
     # ------------------------------------------------------------------
     # Fetch planning (shared by both engines)

@@ -22,8 +22,8 @@ simulation engine and the trace-replay engines share:
 * :func:`systematic_sample_positions` -- the pure-array core of batched
   systematic inclusion sampling (randomness is pre-drawn by the caller,
   so the kernel itself is deterministic).
-* :func:`last_access_fold` -- the epoch-segment fold collapsing a run of
-  cache hits into per-object (count, last-access) summaries.
+* :func:`last_access_fold` -- the segment fold collapsing a run of
+  accesses into per-object (count, last-access) summaries.
 
 Each kernel is the NumPy ufunc implementation (``np.maximum.accumulate``,
 ``np.add.reduceat``, ``np.lexsort``) that the engines carried inline
@@ -246,9 +246,9 @@ def last_access_fold(positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.
     ``unique_positions`` are the distinct object positions of the run
     ordered by *last* access (earliest last-access first), ``counts`` are
     the per-object access multiplicities and ``last_offsets`` the offset of
-    each object's final access within the run.  Feeding the result to
-    :meth:`ChunkCachingPolicy.touch_epoch` reproduces the final policy
-    state of per-request processing for a pure hit run.
+    each object's final access within the run.  The online controller's
+    rate estimator (:mod:`repro.control.estimator`) folds each chunk of a
+    request stream with it.
     """
     positions = np.asarray(positions)
     unique, rev_first, counts = np.unique(

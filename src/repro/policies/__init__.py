@@ -3,7 +3,8 @@
 The two caches the paper compares -- Ceph's replicated LRU tier and the
 static functional cache -- implement the single
 :class:`~repro.policies.base.ChunkCachingPolicy` protocol
-(``observe``/``lookup``/``evict`` plus the chunk-occupancy snapshot), so
+(``observe``/``lookup``/``evict``, the chunk-occupancy snapshot and the
+bulk ``classify`` pass over a whole trace), so
 the cluster cache tier, the epoch-batched trace replay and the scenario
 facade all consume policies interchangeably.  Policies register under
 ``repro.api.registry.POLICIES`` (``@register_policy``) and become valid

@@ -5,21 +5,26 @@ files live in the cache.  The protocol is deliberately small -- ``observe``
 (record an access, possibly promoting the file and evicting victims),
 ``lookup`` (how many chunks of a file are cached right now), ``evict``
 (explicit removal) and ``occupancy`` (the full chunk-occupancy snapshot) --
-so the same policy object drives three very different consumers:
+plus one bulk entry point, :meth:`~ChunkCachingPolicy.classify`, which
+observes a whole trace in one call.  The same policy object drives three
+very different consumers:
 
 * the Ceph-like cache tier (:mod:`repro.cluster.cachetier`), one object at
   a time along the emulated IO path;
-* the epoch-batched trace replay (:mod:`repro.cluster.replay`), which
-  freezes the residency snapshot for a run of requests and folds the run
-  back into the policy at epoch boundaries via :meth:`touch_epoch`;
-* the scenario facade (:mod:`repro.policies.placement`), which replays a
-  seeded synthetic trace and converts the final occupancy snapshot into a
-  functional cache placement for the analytical pipeline.
+* the trace replay (:mod:`repro.cluster.replay`), which classifies a whole
+  trace with one ``classify`` call per run: the request engine through the
+  base per-request loop, the epoch engine through the policy's own bulk
+  pass (an ``OrderedDict`` recency pass for LRU, a gather of the fixed
+  allocation for the static functional cache);
+* the scenario facade (:mod:`repro.policies.placement`), which classifies
+  a seeded synthetic trace and converts the final occupancy snapshot into
+  a functional cache placement for the analytical pipeline.
 
 State-change reporting is explicit: every mutation returns the victims it
 evicted as ``(file_id, chunks)`` pairs, so consumers can keep exact
-eviction accounting (the cache tier's ``evictions_mb``) and the epoch
-engine can patch its residency arrays without rescanning the policy.
+eviction accounting (the cache tier's ``evictions_mb``).  A ``classify``
+override must leave the policy's state, recency order and :attr:`stats`
+exactly as the per-request loop would.
 
 Degenerate configurations are first-class: a zero-capacity policy and a
 file larger than the whole cache must both take the miss path cleanly
@@ -31,6 +36,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import CacheError
 
@@ -214,21 +221,37 @@ class ChunkCachingPolicy(ABC):
         """Handle a miss; returns ``(promoted, evicted victims)``."""
 
     # ------------------------------------------------------------------
-    # Bulk entry points used by the epoch replay and warm-up
+    # Bulk entry points used by the trace replays and warm-up
     # ------------------------------------------------------------------
 
-    def touch_epoch(self, file_ids: Sequence[str], total: int) -> None:
-        """Fold a run of ``total`` full hits into the policy state.
+    def classify(
+        self, file_ids: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        """Observe every access of ``file_ids`` in order, in one call.
 
-        The epoch replay calls this with the *unique* files of a hit run,
-        ordered by their last access (earliest last-access first).  Applying
-        ``_on_hit`` once per unique file in that order reproduces the final
-        state of per-request processing for a recency-driven policy.
+        ``file_ids`` is any sequence of file ids, such as a list or a NumPy
+        object array.  Returns ``(hit_mask, cached_chunks, promotions,
+        evicted_chunks)``: per-request hit flags and cached chunk counts (as
+        :class:`AccessOutcome` reports them) plus the promotion and
+        evicted-chunk totals.  Policy state and :attr:`stats` end exactly
+        as after one :meth:`observe` per request.  This default *is* that
+        per-request loop -- the reference every override must reproduce.
         """
-        for file_id in file_ids:
-            self._on_hit(file_id)
-        self.stats.reads += total
-        self.stats.hits += total
+        num_requests = len(file_ids)
+        hit_mask = np.zeros(num_requests, dtype=bool)
+        cached_chunks = np.zeros(num_requests, dtype=np.int64)
+        promotions = 0
+        evicted_chunks = 0
+        observe = self.observe
+        for request, file_id in enumerate(file_ids):
+            outcome = observe(file_id)
+            hit_mask[request] = outcome.hit
+            cached_chunks[request] = outcome.cached_chunks
+            if outcome.promoted:
+                promotions += 1
+            for _, chunks in outcome.evicted:
+                evicted_chunks += chunks
+        return hit_mask, cached_chunks, promotions, evicted_chunks
 
     def warm(self, file_ids: Iterable[str]) -> None:
         """Pre-populate the cache by admitting files in order (stats reset)."""

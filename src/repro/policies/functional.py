@@ -9,7 +9,9 @@ request time; allocations change only between optimization epochs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import CacheError
 from repro.policies.base import ChunkCachingPolicy, Eviction
@@ -109,3 +111,26 @@ class StaticFunctionalPolicy(ChunkCachingPolicy):
     def _on_miss(self, file_id: str) -> Tuple[bool, List[Eviction]]:
         # Static: misses never promote and never evict.
         return False, []
+
+    def classify(
+        self, file_ids: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        # Residency never changes, so one gather of d_i per request decides
+        # every access: a hit is d_i >= k_i, and nothing is promoted or
+        # evicted.
+        codes = {file_id: code for code, file_id in enumerate(self._chunks_per_file)}
+        try:
+            requested = np.fromiter(
+                map(codes.__getitem__, file_ids), dtype=np.int64, count=len(file_ids)
+            )
+        except KeyError as error:
+            raise CacheError(f"unknown file id {error.args[0]!r}") from error
+        allocated = np.asarray(
+            [self._allocation.get(file_id, 0) for file_id in codes], dtype=np.int64
+        )
+        footprints = np.asarray(list(self._chunks_per_file.values()), dtype=np.int64)
+        cached_chunks = allocated[requested]
+        hit_mask = cached_chunks >= footprints[requested]
+        self.stats.reads += int(requested.size)
+        self.stats.hits += int(np.count_nonzero(hit_mask))
+        return hit_mask, cached_chunks, 0, 0

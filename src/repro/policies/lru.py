@@ -10,7 +10,9 @@ optimized functional cache.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import CacheError
 from repro.policies.base import AccessOutcome, ChunkCachingPolicy, Eviction
@@ -143,3 +145,54 @@ class LRUPolicy(ChunkCachingPolicy):
         if evicted:
             stats.evicted_chunks += sum(chunks for _, chunks in evicted)
         return AccessOutcome(False, 0, promoted, tuple(evicted))
+
+    def classify(
+        self, file_ids: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        # One pass straight over the cache's OrderedDict: a hit moves the
+        # file to the MRU end; a miss evicts from the LRU end until the
+        # file fits, then inserts it.  Files larger than the whole cache
+        # miss without promoting, exactly as in LRUCache.insert.
+        cache = self._cache
+        entries = cache._entries
+        capacity = cache._capacity
+        footprints = self._chunks_per_file
+        replication = self._replication
+        move_to_end = entries.move_to_end
+        pop_lru = entries.popitem
+        cached: List[int] = []
+        record = cached.append
+        used = cache._used
+        promotions = 0
+        evicted_chunks = 0
+        try:
+            for file_id in file_ids:
+                if file_id in entries:
+                    move_to_end(file_id)
+                    record(footprints[file_id])
+                    continue
+                try:
+                    size = footprints[file_id] * replication
+                except KeyError:
+                    raise CacheError(f"unknown file id {file_id!r}") from None
+                record(0)
+                if size > capacity:
+                    continue
+                while used + size > capacity:
+                    victim, victim_size = pop_lru(False)
+                    used -= victim_size
+                    evicted_chunks += footprints[victim]
+                entries[file_id] = size
+                used += size
+                promotions += 1
+        finally:
+            # Keep the cache and the counters consistent even on an error.
+            cache._used = used
+            cached_chunks = np.asarray(cached, dtype=np.int64)
+            hits = int(np.count_nonzero(cached_chunks))
+            stats = self.stats
+            stats.reads += cached_chunks.size
+            stats.hits += hits
+            stats.promotions += promotions
+            stats.evicted_chunks += evicted_chunks
+        return cached_chunks > 0, cached_chunks, promotions, evicted_chunks

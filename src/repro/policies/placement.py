@@ -4,8 +4,9 @@ The optimize/schedule/simulate pipeline works on a static
 :class:`~repro.core.placement.CachePlacement`; a dynamic policy (Ceph's
 LRU tier) has no closed-form placement.  The bridge is a seeded synthetic
 trace: draw a Poisson request stream from the model's arrival rates, replay
-it through the policy, and freeze the final chunk-occupancy snapshot into a
-functional placement with uniform scheduling.  This is exactly how the
+it through the policy in one :meth:`~repro.policies.base.ChunkCachingPolicy.classify`
+call, and freeze the final chunk-occupancy snapshot into a functional
+placement with uniform scheduling.  This is exactly how the
 paper treats the Ceph cache tier analytically -- the steady-state content
 of the dynamic cache, evaluated with the Lemma-1 bound.
 """
@@ -49,8 +50,7 @@ def placement_from_trace_replay(
     if total_rate > 0 and target_requests > 0:
         horizon = target_requests / total_rate
         _, positions, file_ids = generate_request_arrays(rates, horizon, rng)
-        for position in positions.tolist():
-            policy.observe(file_ids[position])
+        policy.classify([file_ids[position] for position in positions.tolist()])
     allocation = {
         file_id: min(chunks, model.file(file_id).k)
         for file_id, chunks in policy.occupancy().items()

@@ -1,16 +1,19 @@
 """Tests for the epoch-batched trace replay (repro.cluster.replay).
 
-The core contract: on a seeded trace, the epoch engine (one boundary per
-miss) reproduces the per-request reference engine's
-counters *exactly* and its per-request latencies to within floating-point
-reassociation, for every registered policy.  The legacy ``CacheTier`` read
-path, now backed by the same LRU policy, classifies the same trace
-identically -- a cross-check that the refactor preserved the emulation.
+The core contract: on a seeded trace, the epoch engine (the policy's own
+bulk ``classify`` pass plus vectorised latency assembly) reproduces the
+per-request reference engine's counters *exactly* and its per-request
+latencies to within floating-point reassociation, for every registered
+policy and for a custom policy that keeps the base per-request
+classifier.  The legacy ``CacheTier`` read path, now backed by the same
+LRU policy, classifies the same trace identically -- a cross-check that
+the refactor preserved the emulation.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from repro.cluster.cluster import CephLikeCluster, ClusterConfig
 from repro.cluster.crush import CrushMap, placement_group_count
 from repro.cluster.replay import ClusterReplay, ReplayTrace
 from repro.exceptions import ClusterError
+from repro.policies import ChunkCachingPolicy
 
 
 def zipf_rates(num_objects: int, alpha: float, total_rate: float):
@@ -68,8 +72,9 @@ class TestEngineEquivalence:
         assert_exact_match(reference, epoch)
 
     def test_vectorised_fast_path_engages_and_stays_exact(self):
-        # Hot-set workload: long hit runs push the classifier into its
-        # doubling vector blocks; exactness must be preserved.
+        # Hot-set workload: long hit runs take the LRU pass's hit path
+        # (a move to the MRU end) almost every request; exactness must
+        # be preserved.
         rates = zipf_rates(50, 2.5, 20.0)
         config = ClusterConfig(object_size_mb=64, cache_capacity_mb=64 * 25, seed=5)
         trace = make_trace(rates, duration_s=2000.0)
@@ -78,6 +83,55 @@ class TestEngineEquivalence:
         epoch = replay.run(trace, engine="epoch", seed=3)
         assert reference.hit_ratio > 0.9  # long runs actually occurred
         assert_exact_match(reference, epoch)
+
+    def test_policy_without_classify_override_is_exact(self):
+        # A third-party policy that keeps the base per-request classify
+        # must give the epoch engine exactly the request engine's result.
+        class FIFOPolicy(ChunkCachingPolicy):
+            """Whole-object FIFO cache: hits never reorder residents."""
+
+            def __init__(self, capacity_chunks, chunks_per_file=None):
+                self._queue = OrderedDict()
+                super().__init__(capacity_chunks, chunks_per_file)
+
+            def lookup(self, file_id):
+                return self.footprint(file_id) if file_id in self._queue else 0
+
+            def evict(self, file_id):
+                return self._queue.pop(file_id, None) is not None
+
+            def occupancy(self):
+                return dict(self._queue)
+
+            @property
+            def used_chunks(self):
+                return sum(self._queue.values())
+
+            def _on_hit(self, file_id):
+                pass
+
+            def _on_miss(self, file_id):
+                size = self.footprint(file_id)
+                if size > self.capacity_chunks:
+                    return False, []
+                evicted = []
+                while self.used_chunks + size > self.capacity_chunks:
+                    evicted.append(self._queue.popitem(last=False))
+                self._queue[file_id] = size
+                return True, evicted
+
+        assert FIFOPolicy.classify is ChunkCachingPolicy.classify
+        rates = zipf_rates(60, 1.1, 2.0)
+        config = ClusterConfig(object_size_mb=64, cache_capacity_mb=64 * 15, seed=5)
+        trace = make_trace(rates)
+        replay = ClusterReplay(config, list(rates), policy=FIFOPolicy)
+        reference = replay.run(trace, engine="request", seed=3)
+        epoch = replay.run(trace, engine="epoch", seed=3)
+        assert 0 < reference.hits < reference.reads
+        assert reference.evictions_mb > 0.0
+        assert_exact_match(reference, epoch)
+        lru = ClusterReplay(config, list(rates), policy="lru").run(trace, seed=3)
+        assert not np.array_equal(lru.hit_mask, epoch.hit_mask)
 
     def test_seeded_runs_are_reproducible(self):
         rates = zipf_rates(30, 1.2, 2.0)

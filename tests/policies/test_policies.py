@@ -104,20 +104,22 @@ class TestLRU:
         assert dict(outcome.evicted) == {"b": 4}
         assert set(policy.occupancy()) == {"a", "c", "d"}
 
-    def test_touch_epoch_matches_per_request_folding(self):
+    def test_classify_matches_per_request_folding(self):
         sequential = LRUPolicy(12, FILES)
-        folded = LRUPolicy(12, FILES)
-        for policy in (sequential, folded):
+        bulk = LRUPolicy(12, FILES)
+        for policy in (sequential, bulk):
             for file_id in ("a", "b", "c"):
                 policy.observe(file_id)
         run = ["a", "c", "a", "b", "a"]
         for file_id in run:
             sequential.observe(file_id)
-        # unique files ordered by last access: c (1), b (3), a (4)
-        folded.touch_epoch(["c", "b", "a"], total=5)
-        assert sequential.occupancy() == folded.occupancy()
-        assert list(sequential._cache.keys()) == list(folded._cache.keys())
-        assert sequential.stats.hits == folded.stats.hits
+        hit_mask, cached_chunks, promotions, evicted = bulk.classify(run)
+        assert hit_mask.all() and cached_chunks.tolist() == [4] * 5
+        assert promotions == 0 and evicted == 0
+        # Final recency order: c (last access 1), b (3), a (4).
+        assert sequential.occupancy() == bulk.occupancy()
+        assert list(sequential._cache.keys()) == list(bulk._cache.keys()) == ["c", "b", "a"]
+        assert sequential.stats.hits == bulk.stats.hits
 
     def test_replication_inflates_footprint(self):
         policy = LRUPolicy(8, {"a": 4, "b": 4}, replication=2)
