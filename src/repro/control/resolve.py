@@ -7,19 +7,18 @@ run at paper scale (10^5 files) is far too slow to fit inside a time bin, so
 * the compiled :class:`~repro.core.vectorized.VectorizedSystem` is re-pointed
   at the new measured rates with :meth:`~repro.core.vectorized.VectorizedSystem.set_arrival_rates`
   (no pair-array rebuild, no model copy);
-* the convex fixed-``z`` Prob-Pi solve (at the ``z`` carried from the
-  previous bin) starts from the previous bin's iterate and projects over a
-  **reduced active set** (:class:`ActiveSetProjection`): at a converged
-  solution the vast majority of ``pi`` coordinates sit exactly on a box
-  bound, and under a rate perturbation almost all of them stay there, so the
-  projection -- the dominant per-iteration cost, ~40 bisection evaluations
-  each touching every coordinate -- only pays for the few coordinates that
-  were strictly interior;
+* the fixed-``z`` Prob-Pi solve (at the ``z`` carried from the previous
+  bin) starts from the previous bin's iterate and projects over a **reduced
+  active set** (:class:`ActiveSetProjection`): at a converged solution the
+  vast majority of ``pi`` coordinates sit exactly on a box bound, and under
+  a rate perturbation almost all of them stay there, so the projection --
+  a few breakpoint-Newton evaluations per iteration, each touching every
+  coordinate it projects -- only pays for the few coordinates that were
+  strictly interior;
 * a short full-space verification run then confirms the frozen coordinates
   were in fact optimal; if it still finds descent beyond a small budget, the
-  resolver falls back to a full-space solve from the current iterate
-  (``fallback=True`` in the report) -- the parity guarantee is never
-  sacrificed for speed;
+  resolver falls back to the cold solve (``fallback=True`` in the report)
+  -- the parity guarantee is never sacrificed for speed;
 * ``z`` is then refreshed and the alternation continues for a few cheap
   warm sweeps until the objective stops moving;
 * the fractional allocation is rounded by largest-remainder apportionment
@@ -28,19 +27,25 @@ run at paper scale (10^5 files) is far too slow to fit inside a time bin, so
   lazy cache update consumes.
 
 **Convergence parity.** Warm and cold resolves share the *same* carried
-``z``, so their first fixed-``z`` solves minimize the *same* convex problem;
-by convexity the optimal value is unique and both solvers reach it to
-solver tolerance.  ``ResolveReport.relaxed_objective`` records that value
-and is the quantity the parity gate (warm vs cold agreement to <= 1e-6
-relative) is asserted on; it is deliberately *not* the end-of-alternation
-objective, because the ``z``-alternation is biconvex and warm/cold paths may
-settle in different (equally valid) local alternation fixed points.
+``z``, so their first fixed-``z`` solves minimize the *same* problem.
+``ResolveReport.relaxed_objective`` records its value and is the quantity
+the parity gate (warm vs cold agreement to <= 1e-6 relative) is asserted
+on; it is deliberately *not* the end-of-alternation objective, because the
+``z``-alternation is biconvex and warm/cold paths may settle in different
+(equally valid) local alternation fixed points.  The fixed-``z`` problem
+itself is not convex either: each ``pi_{i,j}`` multiplies a term that grows
+with the node load it creates.  On the 40-file test model at utilisation
+below 0.5, two FISTA runs stopped at distinct stationary points 1.2e-6
+apart in relative objective, and the objective on the segment between them
+lies above both.  A warm solve that agrees with cold only where the
+verified active set holds therefore hands every other case to the cold
+solve itself rather than descending on from its own iterate.
 
 **Operating envelope.** The implemented fixed-``z`` objective clips each
-pair's load at the queueing-stability boundary, so it is convex only on the
-stable region.  The guarantee therefore assumes the cold comparator's
-starting point -- ``initial_pi()``, i.e. the no-cache placement, the most
-heavily loaded feasible point -- is itself queueing-stable.  At operating
+pair's load at the queueing-stability boundary.  The guarantee assumes the
+cold comparator's starting point -- ``initial_pi()``, i.e. the no-cache
+placement, the most heavily loaded feasible point -- is itself
+queueing-stable.  At operating
 points hot enough to saturate servers from that start, FISTA can jam at
 spurious stationary points of the clipped surface and the cold baseline is
 no longer meaningful (the paper's latency bound diverges there anyway).
@@ -64,9 +69,8 @@ from repro.core.algorithm import build_placement
 from repro.core.model import StorageSystemModel
 from repro.core.placement import CachePlacement
 from repro.core.prob_pi import solve_fista
-from repro.core.vectorized import VectorizedSystem, _piecewise_clip_sum_inverse
-from repro.exceptions import ControlError, InfeasibleError
-from repro.kernels import segment_sum
+from repro.core.vectorized import PolytopeProjection, VectorizedSystem
+from repro.exceptions import ControlError
 
 
 class ActiveSetProjection:
@@ -75,12 +79,12 @@ class ActiveSetProjection:
     Coordinates of the reference solution that sit on a box bound
     (``pi <= epsilon`` or ``pi >= 1 - epsilon``) are frozen at their
     rounded values; the projection then only solves for the free
-    coordinates, mirroring :meth:`VectorizedSystem.project` (coupling
-    constraint dualised with a bisected multiplier ``nu``, per-file shifts
-    via the exact segmented breakpoint solver) over arrays that are
-    typically 10-20x smaller.  Instances are callables mapping a full pair
-    vector to its projection onto ``{x : x[frozen] = fixed, x[free] in the
-    reduced polytope}``, which is the shape the ``projector`` hook of
+    coordinates.  It is a :class:`~repro.core.vectorized.PolytopeProjection`
+    with those coordinates pinned, so it runs the same breakpoint-Newton
+    kernel over arrays that are typically 10-20x smaller and carries its
+    coupling multiplier from call to call.  Instances are callables mapping a full
+    pair vector to its projection onto ``{x : x[frozen] = fixed, x[free] in
+    the reduced polytope}``, which is the shape the ``projector`` hook of
     :func:`repro.core.prob_pi.solve_fista` expects.
     """
 
@@ -95,115 +99,22 @@ class ActiveSetProjection:
             raise ControlError(
                 f"reference_pi must have {system.num_pairs} entries"
             )
-        self._system = system
         frozen = (reference <= epsilon) | (reference >= 1.0 - epsilon)
-        self._frozen = frozen
-        self._fixed_values = np.where(reference >= 0.5, 1.0, 0.0)
-        self._fixed_values[~frozen] = 0.0
-        self._free_index = np.flatnonzero(~frozen)
-        self.usable = 0 < self._free_index.size < system.num_pairs
-        if not self.usable:
-            return
-        # The free pairs of each file form one contiguous segment (pair
-        # arrays are file-contiguous and free_index is sorted), so the
-        # reduced per-file reductions run as reduceat over these offsets.
-        free_files = system.pair_file[self._free_index]
-        unique_files, inverse = np.unique(free_files, return_inverse=True)
-        counts = np.bincount(inverse)
-        self._segment_files = unique_files
-        self._inverse = inverse
-        self._counts = counts
-        self._offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(
-            np.int64
-        )
-        fixed_sums = system.file_sums(np.where(frozen, self._fixed_values, 0.0))
-        self._lower = np.zeros(unique_files.size)
-        self._upper = np.clip(
-            system.k_values[unique_files] - fixed_sums[unique_files],
-            0.0,
-            counts.astype(float),
-        )
-        frozen_total = float(self._fixed_values[frozen].sum())
-        self._target_total = system.required_total() - frozen_total
-        # Full-size template with the frozen values baked in; __call__
-        # copies it and scatters the projected free coordinates.
-        template = np.zeros(system.num_pairs)
-        template[frozen] = self._fixed_values[frozen]
-        self._template = template
-
-    @property
-    def fraction_frozen(self) -> float:
-        """Fraction of pair coordinates frozen at a box bound."""
-        return 1.0 - self._free_index.size / self._system.num_pairs
+        free = system.num_pairs - int(np.count_nonzero(frozen))
+        self.usable = 0 < free < system.num_pairs
+        #: Fraction of pair coordinates frozen at a box bound.
+        self.fraction_frozen = 1.0 - free / system.num_pairs
+        if self.usable:
+            self._projection = PolytopeProjection(
+                system,
+                np.zeros(system.num_files),
+                system.k_values,
+                frozen,
+                np.where(frozen & (reference >= 0.5), 1.0, 0.0),
+            )
 
     def __call__(self, point: np.ndarray) -> np.ndarray:
-        free = self._project_free(point[self._free_index])
-        out = self._template.copy()
-        out[self._free_index] = free
-        return out
-
-    # ------------------------------------------------------------------
-    # Reduced-space projection (mirrors VectorizedSystem.project)
-    # ------------------------------------------------------------------
-
-    def _segment_sums(self, values: np.ndarray) -> np.ndarray:
-        return segment_sum(values, self._offsets)
-
-    def _project_free(self, values: np.ndarray) -> np.ndarray:
-        target_total = self._target_total
-        work = np.empty_like(values)
-
-        def projected_total(nu: float) -> float:
-            np.add(values, nu, out=work)
-            np.clip(work, 0.0, 1.0, out=work)
-            sums = self._segment_sums(work)
-            np.clip(sums, self._lower, self._upper, out=sums)
-            return float(sums.sum())
-
-        if target_total <= projected_total(0.0) + 1e-9:
-            return self._per_file_projection(values)
-
-        max_total = float(self._upper.sum())
-        if target_total > max_total + 1e-9:
-            raise InfeasibleError(
-                "active-set projection cannot meet the cache-capacity "
-                f"constraint: requires total {target_total:.3f} over the free "
-                f"coordinates but their bounds only allow {max_total:.3f}"
-            )
-        nu_low, nu_high = 0.0, 2.0
-        for _ in range(40):
-            if projected_total(nu_high) >= target_total - 1e-9:
-                break
-            nu_high *= 2.0
-        while nu_high - nu_low > 1e-11 * max(1.0, nu_high):
-            nu_mid = 0.5 * (nu_low + nu_high)
-            if projected_total(nu_mid) < target_total:
-                nu_low = nu_mid
-            else:
-                nu_high = nu_mid
-        return self._per_file_projection(values + nu_high)
-
-    def _per_file_projection(self, values: np.ndarray) -> np.ndarray:
-        projected = np.clip(values, 0.0, 1.0)
-        sums = self._segment_sums(projected)
-        below = sums < self._lower - 1e-12
-        above = sums > self._upper + 1e-12
-        needs_shift = below | above
-        if not np.any(needs_shift):
-            return projected
-        targets = np.where(below, self._lower, self._upper)
-        member = needs_shift[self._inverse]
-        violating = np.flatnonzero(needs_shift)
-        segment_counts = self._counts[violating]
-        segment_targets = np.clip(
-            targets[violating], 0.0, segment_counts.astype(float)
-        )
-        theta = _piecewise_clip_sum_inverse(
-            values[member], segment_counts, segment_targets
-        )
-        shift = np.zeros(needs_shift.size)
-        shift[violating] = theta
-        return np.clip(values + shift[self._inverse], 0.0, 1.0)
+        return self._projection(point)
 
 
 def round_allocation(system: VectorizedSystem, pi: np.ndarray) -> np.ndarray:
@@ -236,7 +147,7 @@ class ResolveReport:
 
     bin_index: Optional[int]
     kind: str  # "bootstrap", "warm" or "cold"
-    relaxed_objective: float  # fixed-z convex objective at the carried z
+    relaxed_objective: float  # fixed-z objective at the carried z
     objective: float  # objective of the final (integral) placement
     cached_chunks: np.ndarray  # integer per-file cache allocation
     iterations: int  # total FISTA iterations across all stages
@@ -400,8 +311,9 @@ class OnlineResolver:
         fraction_frozen = 0.0
         lipschitz = self._lipschitz if warm else 1.0
 
-        # ---- Stage 1: the convex fixed-z solve at the carried z.  This is
-        # the problem warm and cold arms share; its optimal value is unique.
+        # ---- Stage 1: the fixed-z solve at the carried z.  This is the
+        # problem warm and cold arms share.
+        result = None
         if warm:
             projection = ActiveSetProjection(
                 system, self._pi, epsilon=self._freeze_epsilon
@@ -439,27 +351,16 @@ class OnlineResolver:
                     abs(verified.objective), 1.0
                 )
                 if descent > budget:
-                    # The active set was wrong for the new rates: keep
-                    # descending in full space until converged.
+                    # The active set was wrong for the new rates.  Descending
+                    # on from here can settle on a different stationary point
+                    # than the cold solve (see "Convergence parity"), so
+                    # solve cold instead.
                     fallback = True
-                    full = solve_fista(
-                        system,
-                        z,
-                        lower,
-                        upper,
-                        initial_pi=verified.pi,
-                        max_iterations=self._fista_iterations,
-                        tolerance=self._fista_tolerance,
-                        check_window=self._check_window,
-                        initial_lipschitz=verified.lipschitz,
-                    )
-                    iterations += full.iterations
-                    result = full
                 else:
                     result = verified
             else:
                 warm = False
-        if not warm:
+        if result is None:
             result = solve_fista(
                 system,
                 z,

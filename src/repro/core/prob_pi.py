@@ -1,15 +1,21 @@
 """Solvers for the ``Prob Pi`` sub-problem of Algorithm 1.
 
-For fixed auxiliary variables ``z_i`` the objective of Eq. (6) is convex in
-the scheduling probabilities ``pi_{i,j}`` over the polytope
+For fixed auxiliary variables ``z_i`` the paper minimizes the objective of
+Eq. (6) over the scheduling probabilities ``pi_{i,j}`` in the polytope
 
     0 <= pi_{i,j} <= 1,              pi_{i,j} = 0 for j not in S_i,
     K_L,i <= sum_j pi_{i,j} <= K_U,i,
-    sum_i (k_i - sum_j pi_{i,j}) <= C.
+    sum_i (k_i - sum_j pi_{i,j}) <= C,
 
-The paper solves this with projected gradient descent, using MOSEK for the
-projection step.  Both solvers here use the exact polytope projection
-implemented in :class:`repro.core.vectorized.VectorizedSystem`:
+treating it as convex (the online re-solver's docstring records a case
+where the implemented objective is not).  The paper solves it with
+projected gradient descent, using MOSEK for the projection step.  Both
+solvers here use the exact polytope projection of
+:class:`repro.core.vectorized.PolytopeProjection`, whose multiplier and
+per-file shifts are roots of piecewise-linear functions found by a few
+safeguarded Newton steps.  Each solve builds one projection for its bounds
+and reuses it, so every projection starts its root searches from the
+previous one's solution:
 
 * :func:`solve_projected_gradient` -- Armijo-backtracking projected
   gradient descent, the Prob-Pi step of Algorithm 1
@@ -32,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.vectorized import VectorizedSystem
+from repro.core.vectorized import PolytopeProjection, VectorizedSystem
 from repro.exceptions import OptimizationError
 
 
@@ -78,16 +84,17 @@ def solve_projected_gradient(
     """
     if initial_pi is None:
         initial_pi = system.initial_pi()
-    pi = system.project(initial_pi, lower_sums, upper_sums, fixed_mask, fixed_values)
+    project = PolytopeProjection(
+        system, lower_sums, upper_sums, fixed_mask, fixed_values
+    )
+    pi = project(initial_pi)
     objective, gradient = system.objective_and_gradient(pi, z)
     step = initial_step
     converged = False
     iterations_used = 0
     for iteration in range(max_iterations):
         iterations_used = iteration + 1
-        candidate = system.project(
-            pi - step * gradient, lower_sums, upper_sums, fixed_mask, fixed_values
-        )
+        candidate = project(pi - step * gradient)
         direction = candidate - pi
         direction_norm = float(np.linalg.norm(direction))
         if direction_norm < tolerance:
@@ -165,8 +172,9 @@ def solve_fista(
     Parameters
     ----------
     projector:
-        Optional replacement for ``system.project``: a callable mapping a
-        trial point to its projection onto the feasible set.  The online
+        Optional replacement for the solve's own
+        :class:`~repro.core.vectorized.PolytopeProjection`: a callable
+        mapping a trial point to its projection onto the feasible set.  The online
         re-solver passes a reduced active-set projector here so warm
         solves only pay for the coordinates the previous solution left
         strictly inside the box.
@@ -177,10 +185,9 @@ def solve_fista(
     if initial_pi is None:
         initial_pi = system.initial_pi()
     if projector is None:
-        def projector(point: np.ndarray) -> np.ndarray:
-            return system.project(
-                point, lower_sums, upper_sums, fixed_mask, fixed_values
-            )
+        projector = PolytopeProjection(
+            system, lower_sums, upper_sums, fixed_mask, fixed_values
+        )
     if initial_lipschitz <= 0.0:
         raise OptimizationError("initial_lipschitz must be positive")
 

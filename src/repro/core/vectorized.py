@@ -23,6 +23,7 @@ dictionary-based scalar oracle kept in ``tests/scalar_oracle.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,118 +75,94 @@ class SolutionState:
         return sum(max(d, 0.0) for d in self.cache_allocation(model))
 
 
-def _piecewise_clip_sum_inverse(
-    values: np.ndarray,
-    segment_counts: np.ndarray,
-    targets: np.ndarray,
-) -> np.ndarray:
-    """Solve ``sum_j clip(v_j + theta_s, 0, 1) = t_s`` for every segment.
+#: Relative residual at which a projection root search stops.  A safeguarded
+#: Newton step is exact once it reaches the root's linear piece, so this only
+#: has to sit above the round-off of a segmented sum.
+_ROOT_RTOL = 1e-12
+#: Iterations after which a root search is reported as broken.  It is an
+#: error, not a stopping rule: the safeguarded steps settle long before.
+_ROOT_ITERATION_CAP = 200
 
-    ``values`` holds the concatenated per-segment coordinates (segments are
-    contiguous, with ``segment_counts[s]`` entries each) and ``targets`` the
-    per-segment right-hand sides, pre-clamped to ``[0, n_s]``.  The map
-    ``theta -> sum_j clip(v_j + theta)`` is piecewise linear and
-    non-decreasing with breakpoints at ``-v_j`` (coordinate leaves the lower
-    clip) and ``1 - v_j`` (coordinate saturates), so the exact root is found
-    by sorting the ``2 n_s`` breakpoints, accumulating the function value at
-    each one, and interpolating inside the bracketing linear piece -- no
-    iterative bisection.  Everything is segmented: one ``lexsort`` and a few
-    cumulative sums solve all segments at once.
+
+def _newton_roots(evaluate, theta, low, high, edge, tolerance):
+    """Safeguarded Newton roots of non-decreasing piecewise-linear maps.
+
+    Solves ``h_s(theta_s) = t_s`` for every entry ``s`` at once.
+    ``evaluate(theta)`` returns the residuals ``t - h(theta)`` and a
+    function mapping them to the one-sided slopes of ``h`` toward each root
+    (the right slope where the residual is positive, else the left one).
+    ``low < root <= high`` brackets every root.  A Newton step that leaves
+    the bracket or lands on one of its ends is replaced by a bisection
+    step, so the search cannot cycle between two ends; a step that reaches
+    the root's linear piece is exact.  Roots are sought on
+    ``theta >= edge``: a step below ``edge`` is raised to it, and an entry
+    whose residual is negative at ``edge`` keeps it (with ``low = -inf``
+    the first step left of the start probes ``edge``).  An entry whose
+    bracket has shrunk to adjacent doubles settles at ``high``.  Once half
+    the entries have settled the rest go on alone, through
+    ``evaluate.subset(keep)``.
     """
-    num_segments = segment_counts.size
-    total = values.size
-    width = int(segment_counts[0]) if num_segments else 0
-    if num_segments and np.all(segment_counts == width):
-        # Uniform-width fast path (the common case: every file is stored on
-        # the same number of nodes): one per-row argsort over a
-        # (segments, 2*width) matrix instead of a global lexsort.
-        value_rows = values.reshape(num_segments, width)
-        row_breaks = np.concatenate([-value_rows, 1.0 - value_rows], axis=1)
-        row_slopes = np.concatenate(
-            [np.ones((num_segments, width)), -np.ones((num_segments, width))], axis=1
+    settled = np.zeros(theta.shape, dtype=bool)
+    for _ in range(_ROOT_ITERATION_CAP):
+        residual, slopes = evaluate(theta)
+        settled |= (np.abs(residual) <= tolerance) | (
+            (theta <= edge) & (residual < 0.0)
         )
-        order = np.argsort(row_breaks, axis=1)
-        row_breaks = np.take_along_axis(row_breaks, order, axis=1)
-        row_slopes = np.take_along_axis(row_slopes, order, axis=1)
-        active = np.cumsum(row_slopes, axis=1)
-        f = np.zeros_like(row_breaks)
-        f[:, 1:] = np.cumsum(
-            active[:, :-1] * (row_breaks[:, 1:] - row_breaks[:, :-1]), axis=1
-        )
-        position = np.sum(f < targets[:, None], axis=1)
-        rows = np.arange(num_segments)
-        high = np.clip(position, 0, 2 * width - 1)
-        low = np.clip(position - 1, 0, 2 * width - 1)
-        f_high = f[rows, high]
-        f_low = f[rows, low]
-        e_high = row_breaks[rows, high]
-        e_low = row_breaks[rows, low]
-        denominator = f_high - f_low
-        safe = denominator > 0.0
-        theta = np.where(
-            safe,
-            e_high
-            - (f_high - targets) * (e_high - e_low) / np.where(safe, denominator, 1.0),
-            e_high,
-        )
-        at_start = position <= 0
-        past_end = position >= 2 * width
-        theta[at_start] = row_breaks[at_start, 0]
-        theta[past_end] = row_breaks[past_end, -1]
-        return theta
-
-    segments = np.repeat(np.arange(num_segments), segment_counts)
-
-    breakpoints = np.concatenate([-values, 1.0 - values])
-    slopes = np.concatenate([np.ones(total), -np.ones(total)])
-    break_segments = np.concatenate([segments, segments])
-    order = np.lexsort((breakpoints, break_segments))
-    breakpoints = breakpoints[order]
-    slopes = slopes[order]
-
-    counts = segment_counts * 2
-    ends = np.cumsum(counts)
-    offsets = ends - counts
-
-    # Active-coordinate count after each breakpoint (segmented cumsum).
-    cumulative_slope = np.cumsum(slopes)
-    slope_base = np.concatenate([[0.0], cumulative_slope[ends[:-1] - 1]])
-    active = cumulative_slope - np.repeat(slope_base, counts)
-
-    # Function value at each breakpoint: f[m] = f[m-1] + active[m-1] * gap.
-    increments = np.zeros_like(breakpoints)
-    increments[1:] = active[:-1] * (breakpoints[1:] - breakpoints[:-1])
-    increments[offsets] = 0.0
-    cumulative_f = np.cumsum(increments)
-    f_base = np.concatenate([[0.0], cumulative_f[ends[:-1] - 1]])
-    f = cumulative_f - np.repeat(f_base, counts)
-
-    # Segmented searchsorted: shift every segment's (non-decreasing) f range
-    # into its own disjoint band so one flat searchsorted finds, for every
-    # segment, the first breakpoint with f >= t.
-    band = float(segment_counts.max()) + 2.0
-    bands = np.arange(num_segments) * band
-    flat_f = f + np.repeat(bands, counts)
-    insert = np.searchsorted(flat_f, targets + bands, side="left")
-    position = insert - offsets
-
-    high = np.clip(insert, 0, breakpoints.size - 1)
-    low = np.clip(insert - 1, 0, breakpoints.size - 1)
-    denominator = f[high] - f[low]
-    safe = denominator > 0.0
-    theta = np.where(
-        safe,
-        breakpoints[high]
-        - (f[high] - targets)
-        * (breakpoints[high] - breakpoints[low])
-        / np.where(safe, denominator, 1.0),
-        breakpoints[high],
+        if settled.all():
+            return theta
+        rising = residual > 0.0
+        low = np.where(rising, theta, low)
+        high = np.where(rising, high, theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = theta + residual / slopes(residual)
+        step = np.where((step > low) & (step < high), step, 0.5 * (low + high))
+        step = np.maximum(step, edge)
+        collapsed = (step <= low) | (step >= high)
+        theta = np.where(settled, theta, np.where(collapsed, high, step))
+        settled |= collapsed
+        if 2 * np.count_nonzero(~settled) <= settled.size:
+            keep = ~settled
+            if keep.any():
+                theta[keep] = _newton_roots(
+                    evaluate.subset(keep),
+                    theta[keep],
+                    low[keep],
+                    high[keep],
+                    edge,
+                    tolerance[keep],
+                )
+            return theta
+    raise OptimizationError(
+        f"projection root search did not settle in {_ROOT_ITERATION_CAP} steps"
     )
-    at_start = position <= 0
-    past_end = position >= counts
-    theta[at_start] = breakpoints[offsets[at_start]]
-    theta[past_end] = breakpoints[ends[past_end] - 1]
-    return theta
+
+
+class _ClipSums:
+    """Residuals ``t_s - sum_j clip(v_j + theta_s, 0, 1)`` of contiguous segments."""
+
+    def __init__(self, values: np.ndarray, counts: np.ndarray, targets: np.ndarray):
+        self._values, self._counts, self._targets = values, counts, targets
+        self._segment = np.repeat(np.arange(counts.size), counts)
+        self._offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+
+    def subset(self, keep: np.ndarray) -> "_ClipSums":
+        return _ClipSums(
+            self._values[keep[self._segment]], self._counts[keep], self._targets[keep]
+        )
+
+    def __call__(self, theta: np.ndarray):
+        shifted = self._values + theta[self._segment]
+        sums = segment_sum(np.clip(shifted, 0.0, 1.0), self._offsets)
+
+        def slopes(residual: np.ndarray) -> np.ndarray:
+            moving = np.where(
+                (residual > 0.0)[self._segment],
+                (shifted >= 0.0) & (shifted < 1.0),
+                (shifted > 0.0) & (shifted <= 1.0),
+            )
+            return segment_sum(moving.astype(float), self._offsets)
+
+        return self._targets - sums, slopes
 
 
 class VectorizedSystem:
@@ -198,7 +175,6 @@ class VectorizedSystem:
     """
 
     def __init__(self, model: StorageSystemModel):
-        self._model = model
         self._node_ids: List[int] = model.node_ids
         self._node_index: Dict[int, int] = {
             node_id: position for position, node_id in enumerate(self._node_ids)
@@ -213,10 +189,38 @@ class VectorizedSystem:
             for node_id in spec.placement:
                 pair_file.append(file_position)
                 pair_node.append(self._node_index[node_id])
+        # Node ids per pair, and each file's slice of them, for the
+        # SolutionState conversions.
+        self._pair_node_ids = [self._node_ids[node] for node in pair_node]
+        ends = np.cumsum([len(spec.placement) for spec in files]).tolist()
+        self._file_node_ids = [
+            self._pair_node_ids[end - len(spec.placement) : end]
+            for spec, end in zip(files, ends)
+        ]
         self.pair_file = np.asarray(pair_file, dtype=np.int64)
         self.pair_node = np.asarray(pair_node, dtype=np.int64)
         self.num_pairs = self.pair_file.size
 
+        # The pair arrays are built file by file, so ``pair_file`` is sorted
+        # and every file owns one contiguous segment: per-file reductions run
+        # as ``np.add.reduceat`` over these offsets, which is considerably
+        # faster than ``np.bincount`` with weights in the solver's inner
+        # loop.  Per-pair gathers of static file quantities (``_bind``) are
+        # cached once instead of being re-gathered on every objective call.
+        pair_counts = np.bincount(self.pair_file, minlength=self.num_files)
+        self._file_segments_contiguous = bool(pair_counts.min() > 0)
+        self._file_offsets = np.concatenate(
+            [[0], np.cumsum(pair_counts)[:-1]]
+        ).astype(np.int64)
+        # Fingerprint of the placement structure, used by rebind() to refuse
+        # models whose (file, node) pairs differ from the compiled arrays.
+        self._placement_signature = tuple(spec.placement for spec in files)
+        self._bind(model)
+
+    def _bind(self, model: StorageSystemModel) -> None:
+        """Load the rates, service moments and capacity of ``model``."""
+        files = model.files
+        self._model = model
         self.arrival_rates = np.asarray(
             [spec.arrival_rate for spec in files], dtype=float
         )
@@ -227,40 +231,17 @@ class VectorizedSystem:
         self.k_values = np.asarray([spec.k for spec in files], dtype=float)
         self.n_values = np.asarray([spec.n for spec in files], dtype=float)
         self.cache_capacity = float(model.cache_capacity)
-
-        self.mu = np.asarray(
-            [model.service(node_id).rate for node_id in self._node_ids], dtype=float
-        )
+        services = [model.service(node_id) for node_id in self._node_ids]
+        self.mu = np.asarray([service.rate for service in services], dtype=float)
         self.gamma2 = np.asarray(
-            [model.service(node_id).second_moment for node_id in self._node_ids],
-            dtype=float,
+            [service.second_moment for service in services], dtype=float
         )
         self.gamma3 = np.asarray(
-            [model.service(node_id).third_moment for node_id in self._node_ids],
-            dtype=float,
+            [service.third_moment for service in services], dtype=float
         )
-        self.sigma2 = np.asarray(
-            [model.service(node_id).variance for node_id in self._node_ids],
-            dtype=float,
-        )
-
-        # The pair arrays are built file by file, so ``pair_file`` is sorted
-        # and every file owns one contiguous segment: per-file reductions run
-        # as ``np.add.reduceat`` over these offsets, which is considerably
-        # faster than ``np.bincount`` with weights in the solver's inner
-        # loop (projection bisections call ``file_sums`` hundreds of times
-        # per solve).  Per-pair gathers of static file quantities are cached
-        # here once instead of being re-gathered on every objective call.
-        pair_counts = np.bincount(self.pair_file, minlength=self.num_files)
-        self._file_segments_contiguous = bool(pair_counts.min() > 0)
-        self._file_offsets = np.concatenate(
-            [[0], np.cumsum(pair_counts)[:-1]]
-        ).astype(np.int64)
+        self.sigma2 = np.asarray([service.variance for service in services], dtype=float)
         self.pair_weights = self.weights[self.pair_file]
         self.pair_rates = self.arrival_rates[self.pair_file]
-        # Fingerprint of the placement structure, used by rebind() to refuse
-        # models whose (file, node) pairs differ from the compiled arrays.
-        self._placement_signature = tuple(spec.placement for spec in files)
 
     # ------------------------------------------------------------------
     # Per-file segmented reductions
@@ -342,34 +323,7 @@ class VectorizedSystem:
             )
         if tuple(spec.placement for spec in files) != self._placement_signature:
             raise OptimizationError("rebind requires identical chunk placements")
-        self._model = model
-        self.arrival_rates = np.asarray(
-            [spec.arrival_rate for spec in files], dtype=float
-        )
-        total_rate = float(self.arrival_rates.sum())
-        if total_rate <= 0:
-            raise OptimizationError("total arrival rate must be positive")
-        self.weights = self.arrival_rates / total_rate
-        self.k_values = np.asarray([spec.k for spec in files], dtype=float)
-        self.n_values = np.asarray([spec.n for spec in files], dtype=float)
-        self.cache_capacity = float(model.cache_capacity)
-        self.mu = np.asarray(
-            [model.service(node_id).rate for node_id in self._node_ids], dtype=float
-        )
-        self.gamma2 = np.asarray(
-            [model.service(node_id).second_moment for node_id in self._node_ids],
-            dtype=float,
-        )
-        self.gamma3 = np.asarray(
-            [model.service(node_id).third_moment for node_id in self._node_ids],
-            dtype=float,
-        )
-        self.sigma2 = np.asarray(
-            [model.service(node_id).variance for node_id in self._node_ids],
-            dtype=float,
-        )
-        self.pair_weights = self.weights[self.pair_file]
-        self.pair_rates = self.arrival_rates[self.pair_file]
+        self._bind(model)
         return self
 
     def initial_pi(self) -> np.ndarray:
@@ -378,23 +332,27 @@ class VectorizedSystem:
 
     def from_state(self, state: SolutionState) -> np.ndarray:
         """Flatten a :class:`SolutionState` into a pair vector."""
-        pi = np.zeros(self.num_pairs, dtype=float)
-        for pair_index in range(self.num_pairs):
-            file_position = int(self.pair_file[pair_index])
-            node_id = self._node_ids[int(self.pair_node[pair_index])]
-            pi[pair_index] = state.probabilities[file_position].get(node_id, 0.0)
-        return pi
+        values = [
+            value
+            for file_position, node_ids in enumerate(self._file_node_ids)
+            for value in map(
+                state.probabilities[file_position].get, node_ids, repeat(0.0)
+            )
+        ]
+        return np.asarray(values, dtype=float).reshape(self.num_pairs)
 
     def to_state(self, pi: np.ndarray, z: Optional[np.ndarray] = None) -> SolutionState:
         """Expand a pair vector (and optional z vector) into a SolutionState."""
-        probabilities: List[Dict[int, float]] = [dict() for _ in range(self.num_files)]
-        for pair_index in range(self.num_pairs):
-            file_position = int(self.pair_file[pair_index])
-            node_id = self._node_ids[int(self.pair_node[pair_index])]
-            probabilities[file_position][node_id] = float(pi[pair_index])
+        pairs = zip(self._pair_node_ids, np.asarray(pi, dtype=float).tolist())
+        probabilities: List[Dict[int, float]] = [
+            dict(islice(pairs, len(node_ids))) for node_ids in self._file_node_ids
+        ]
         if z is None:
             z = self.optimal_z(pi)
-        return SolutionState(probabilities=probabilities, z_values=[float(v) for v in z])
+        return SolutionState(
+            probabilities=probabilities,
+            z_values=np.asarray(z, dtype=float).tolist(),
+        )
 
     # ------------------------------------------------------------------
     # Queueing quantities
@@ -532,6 +490,11 @@ class VectorizedSystem:
 
         for _ in range(iterations):
             midpoint = 0.5 * (lower + upper)
+            # A file whose midpoint rounds onto a bracket end has reached
+            # the bisection's fixed point: every later step leaves its z at
+            # this midpoint, so stop once all files not at zero are there.
+            if np.all(at_zero | (midpoint == lower) | (midpoint == upper)):
+                break
             negative = derivative(midpoint) < 0.0
             lower = np.where(negative, midpoint, lower)
             upper = np.where(negative, upper, midpoint)
@@ -585,108 +548,166 @@ class VectorizedSystem:
 
         Notes
         -----
-        The single coupling constraint ``sum pi >= T`` is dualised with a
-        multiplier ``nu >= 0``: the optimal point is the per-file projection
-        of ``pi + nu``, and ``nu`` is found by bisection.  The projected
-        total for a trial ``nu`` has the closed form
-        ``sum_i clamp(sum_j clip(pi_{i,j} + nu, 0, 1), K_L,i, K_U,i)``, so
-        the outer bisection never needs the (more expensive) per-file
-        multipliers; those are solved only once, for the final ``nu``, by
-        the exact segmented breakpoint solver
-        :func:`_piecewise_clip_sum_inverse` (no inner bisection loops).
+        A one-shot :class:`PolytopeProjection`, which finds the coupling
+        multiplier and the per-file shifts by safeguarded Newton steps on
+        their breakpoints.  Solvers that project many points onto one
+        polytope keep a :class:`PolytopeProjection`, so that each call
+        starts from the previous call's solution.
         """
+        projection = PolytopeProjection(
+            self, lower_sums, upper_sums, fixed_mask, fixed_values
+        )
+        return projection(pi)
+
+
+class PolytopeProjection:
+    """Euclidean projection onto one Prob-Pi polytope.
+
+    The polytope is ``{x : 0 <= x <= 1, K_L,i <= sum_{j in S_i} x_{i,j} <=
+    K_U,i, sum x >= T, x = fixed on the pinned pairs}`` with
+    ``T = sum_i k_i - C``.  Pinned pairs drop out: each file's bounds and
+    ``T`` shrink by the pinned totals, and the file bounds are clipped to
+    what the file's free pairs can hold.  On the free pairs the projection
+    of ``v`` is ``x = clip(v + clamp(nu, a_i, b_i), 0, 1)``, where ``a_i``
+    and ``b_i`` solve ``f_i(theta) = sum_j clip(v_j + theta, 0, 1) = K_L,i``
+    and ``= K_U,i``, and the coupling multiplier ``nu >= 0`` is ``0`` when
+    ``G(0) = sum_i clamp(f_i(0), K_L,i, K_U,i) >= T``, else the root of
+    ``G(nu) = T``.  Every ``f_i`` and ``G`` is non-decreasing and piecewise
+    linear, with breakpoints where a coordinate enters or leaves the box,
+    so :func:`_newton_roots` finds ``nu`` and then the shifts of the files
+    whose ``f_i(nu)`` leaves its bounds (Kiwiel, Math. Prog. 2008; Condat,
+    Math. Prog. 2016).
+
+    Each call starts its ``nu`` search at the previous call's root, which
+    successive iterates of a converging solver barely move; a clamped
+    file's search starts at ``nu``, one end of its bracket.  Solvers create
+    one instance per solve, so a solve's output depends only on its inputs.
+
+    Raises
+    ------
+    InfeasibleError
+        When a file's lower bound exceeds its upper bound, or the file
+        bounds cannot reach ``T``.
+    """
+
+    def __init__(
+        self,
+        system: VectorizedSystem,
+        lower_sums: np.ndarray,
+        upper_sums: np.ndarray,
+        fixed_mask: Optional[np.ndarray] = None,
+        fixed_values: Optional[np.ndarray] = None,
+    ):
         lower_sums = np.asarray(lower_sums, dtype=float)
         upper_sums = np.asarray(upper_sums, dtype=float)
         if np.any(lower_sums > upper_sums + 1e-12):
             raise InfeasibleError("per-file lower sum exceeds upper sum")
-
-        if fixed_mask is None:
-            fixed_mask = np.zeros(self.num_pairs, dtype=bool)
-            any_fixed = False
-        else:
-            any_fixed = bool(np.any(fixed_mask))
-        if fixed_values is None:
-            fixed_values = np.zeros(self.num_pairs, dtype=float)
-
-        target_total = self.required_total()
-        work = np.empty_like(pi)
-
-        def clipped(values: np.ndarray) -> np.ndarray:
-            result = np.clip(values, 0.0, 1.0)
-            if any_fixed:
-                result[fixed_mask] = fixed_values[fixed_mask]
-            return result
-
-        def projected_total(nu: float) -> float:
-            # Buffer-reusing fast path: this runs ~40 times per projection
-            # inside the bisection, so it avoids fresh allocations.
-            np.add(pi, nu, out=work)
-            np.clip(work, 0.0, 1.0, out=work)
-            if any_fixed:
-                work[fixed_mask] = fixed_values[fixed_mask]
-            sums = self._file_sum(work)
-            np.clip(sums, lower_sums, upper_sums, out=sums)
-            return float(sums.sum())
-
-        def per_file_projection(values: np.ndarray) -> np.ndarray:
-            projected = clipped(values)
-            sums = self.file_sums(projected)
-            below = sums < lower_sums - 1e-12
-            above = sums > upper_sums + 1e-12
-            needs_shift = below | above
-            if not np.any(needs_shift):
-                return projected
-            # Per-file shift theta_i with x = clip(v + theta_i); the shift
-            # only moves the non-fixed coordinates, so fixed contributions
-            # are subtracted from the targets and excluded from the solve.
-            free_mask = needs_shift[self.pair_file]
-            targets = np.where(below, lower_sums, upper_sums)
-            if any_fixed:
-                free_mask &= ~fixed_mask
-                fixed_contribution = self._file_sum(
-                    np.where(fixed_mask, fixed_values, 0.0)
-                )
-                targets = targets - fixed_contribution
-            free_counts = np.bincount(
-                self.pair_file[free_mask], minlength=self.num_files
-            )
-            needs_shift &= free_counts > 0
-            free_mask &= needs_shift[self.pair_file]
-            violating = np.flatnonzero(needs_shift)
-            if violating.size == 0:
-                return projected
-            segment_counts = free_counts[violating]
-            segment_targets = np.clip(
-                targets[violating], 0.0, segment_counts.astype(float)
-            )
-            theta = _piecewise_clip_sum_inverse(
-                values[free_mask], segment_counts, segment_targets
-            )
-            shift = np.zeros(self.num_files)
-            shift[violating] = theta
-            return clipped(values + shift[self.pair_file])
-
-        if target_total <= projected_total(0.0) + 1e-9:
-            return per_file_projection(pi)
-
-        # The cache-capacity constraint is violated: raise all coordinates by
-        # a common multiplier nu until the projected total reaches T.
-        max_total = float(np.minimum(upper_sums, self.n_values).sum())
-        if target_total > max_total + 1e-9:
+        self._free: Optional[np.ndarray] = None
+        self._template: Optional[np.ndarray] = None
+        pair_file = system.pair_file
+        fixed_sums = np.zeros(system.num_files)
+        if fixed_mask is not None and np.any(fixed_mask):
+            fixed_mask = np.asarray(fixed_mask, dtype=bool)
+            values = np.zeros(system.num_pairs) if fixed_values is None else fixed_values
+            self._template = np.where(fixed_mask, values, 0.0)
+            self._free = np.flatnonzero(~fixed_mask)
+            fixed_sums = system.file_sums(self._template)
+            pair_file = pair_file[self._free]
+        counts = np.bincount(pair_file, minlength=system.num_files)
+        files = np.flatnonzero(counts)
+        self._counts = counts[files]
+        self._offsets = np.concatenate([[0], np.cumsum(self._counts)[:-1]])
+        self._segment = np.repeat(np.arange(files.size), self._counts)
+        sizes = self._counts.astype(float)
+        self._lower = np.clip(lower_sums[files] - fixed_sums[files], 0.0, sizes)
+        self._upper = np.clip(upper_sums[files] - fixed_sums[files], 0.0, sizes)
+        self._target = system.required_total() - float(fixed_sums.sum())
+        max_total = float(self._upper.sum())
+        if self._target > max_total + 1e-9:
             raise InfeasibleError(
                 "cache capacity constraint cannot be met: requires total "
-                f"{target_total:.3f} but the per-file bounds only allow "
+                f"{self._target:.3f} but the per-file bounds only allow "
                 f"{max_total:.3f}"
             )
-        nu_low, nu_high = 0.0, 2.0
-        for _ in range(40):
-            if projected_total(nu_high) >= target_total - 1e-9:
-                break
-            nu_high *= 2.0
-        while nu_high - nu_low > 1e-11 * max(1.0, nu_high):
-            nu_mid = 0.5 * (nu_low + nu_high)
-            if projected_total(nu_mid) < target_total:
-                nu_low = nu_mid
-            else:
-                nu_high = nu_mid
-        return per_file_projection(pi + nu_high)
+        # The coupling multiplier of the last call: the next call's start.
+        self._nu = 0.0
+
+    def __call__(self, point: np.ndarray) -> np.ndarray:
+        point = np.asarray(point, dtype=float)
+        values = point if self._free is None else point[self._free]
+        if values.size:
+            values = self._project(values)
+        if self._template is None:
+            return values
+        out = self._template.copy()
+        out[self._free] = values
+        return out
+
+    def _project(self, values: np.ndarray) -> np.ndarray:
+        offsets, segment = self._offsets, self._segment
+        lower, upper, target = self._lower, self._upper, self._target
+        shifted = np.empty_like(values)
+        clipped = np.empty_like(values)
+        evaluated = {}
+
+        def coupling(nu: np.ndarray):
+            np.add(values, nu, out=shifted)
+            np.clip(shifted, 0.0, 1.0, out=clipped)
+            sums = segment_sum(clipped, offsets)
+            evaluated["nu"], evaluated["sums"] = float(nu[0]), sums
+
+            def slopes(residual: np.ndarray) -> np.ndarray:
+                if residual[0] > 0.0:
+                    moving = (shifted >= 0.0) & (shifted < 1.0)
+                    open_files = (sums >= lower) & (sums < upper)
+                else:
+                    moving = (shifted > 0.0) & (shifted <= 1.0)
+                    open_files = (sums > lower) & (sums <= upper)
+                return np.array([float(np.count_nonzero(moving & open_files[segment]))])
+
+            return np.array([target - float(np.clip(sums, lower, upper).sum())]), slopes
+
+        smallest = float(values.min())
+        if np.isnan(smallest):
+            raise OptimizationError("cannot project a point with NaN coordinates")
+        high = max(1.0 - smallest, 0.0)
+        nu = float(
+            _newton_roots(
+                coupling,
+                np.array([min(self._nu, high)]),
+                np.array([-np.inf]),
+                np.array([high]),
+                0.0,
+                _ROOT_RTOL * max(1.0, abs(target)),
+            )[0]
+        )
+        if evaluated["nu"] == nu:
+            sums = evaluated["sums"]
+        else:
+            np.clip(values + nu, 0.0, 1.0, out=clipped)
+            sums = segment_sum(clipped, offsets)
+
+        # Files whose sum at nu leaves [lower, upper] sit on that bound: their
+        # own shift solves f_i(theta) = bound, bracketed by nu on one side and
+        # by a box corner (-max v or 1 - min v) on the other.
+        below = sums < lower - _ROOT_RTOL
+        above = sums > upper + _ROOT_RTOL
+        violating = np.flatnonzero(below | above)
+        self._nu = nu
+        if not violating.size:
+            return clipped
+        lifted = below[violating]
+        targets = np.where(lifted, lower[violating], upper[violating])
+        shifts = _ClipSums(
+            values[(below | above)[segment]], self._counts[violating], targets
+        )
+        shift = np.full(offsets.size, nu)
+        shift[violating] = _newton_roots(
+            shifts,
+            np.full(violating.size, nu),
+            np.where(lifted, nu, -float(values.max())),
+            np.where(lifted, 1.0 - smallest, nu),
+            -np.inf,
+            _ROOT_RTOL * np.maximum(targets, 1.0),
+        )
+        return np.clip(values + shift[segment], 0.0, 1.0)
