@@ -6,7 +6,8 @@ fix is a split:
 
 * benchmark runs write fresh JSON into ``benchmarks/out/`` (gitignored),
 * the committed root files are the *gate record* -- they only change when
-  a gate verdict or a gate-relevant field actually moves,
+  a gate verdict or a model-level output (any field not named in
+  ``TIMING_FIELDS``) actually moves,
 * this script evaluates the gates and decides when a refresh is due.
 
 Usage::
@@ -22,8 +23,10 @@ Usage::
 
     python benchmarks/compare.py promote [--fresh benchmarks/out]
         Copy fresh files over the committed root records, but only those
-        whose gate-relevant fields differ (new file, changed verdict, or
-        changed threshold).  Pure timing drift never touches the diff.
+        that differ in a gate verdict or in a field outside
+        ``TIMING_FIELDS`` (new file, changed verdict or threshold, changed
+        objective, counts or latencies).  Pure timing drift never touches
+        the diff.
 
 Gates mirror the assertions inside ``benchmarks/test_bench_*.py``; a
 threshold given as a string names a field of the same payload (so the
@@ -93,6 +96,52 @@ class Gate:
             fields.append(self.when)
         return fields
 
+
+#: Fields that measure the machine rather than the seeded computation:
+#: wall seconds, rates, speedups, throughput and the CPU count.  They drift
+#: run to run, so ``promote`` ignores them; a change in any other field is
+#: a change in what the benchmark computed and is promoted.
+TIMING_FIELDS = frozenset(
+    {
+        # wall seconds
+        "wall_seconds",
+        "batch_seconds",
+        "event_seconds",
+        "bootstrap_seconds",
+        "cold_seconds",
+        "warm_seconds",
+        "median_warm_seconds",
+        "epoch_engine_seconds",
+        "reference_engine_seconds",
+        "legacy_per_request_seconds",
+        "fig11_inline_seconds",
+        "fig11_kernel_seconds",
+        "cluster_replay_inline_seconds",
+        "cluster_replay_kernel_seconds",
+        "serial_seconds",
+        "parallel_seconds",
+        "cache_hit_seconds",
+        "ingest_seconds",
+        "validate_seconds",
+        # rates and throughput
+        "batch_requests_per_second",
+        "event_requests_per_second",
+        "epoch_requests_per_second",
+        "replayed_requests_per_second",
+        "rows_per_second",
+        "fig11_relative_throughput",
+        "cluster_replay_relative_throughput",
+        # speedups
+        "speedup",
+        "speedup_vs_legacy",
+        "speedup_vs_reference",
+        "warm_speedup",
+        "cache_hit_speedup",
+        "parallel_speedup",
+        # CPU count
+        "available_cpus",
+    }
+)
 
 #: name (the ``name`` field / ``BENCH_<name>.json``) -> its gates.
 GATES: Dict[str, List[Gate]] = {
@@ -171,6 +220,12 @@ def gate_snapshot(name: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     return snapshot
 
 
+def changed_outputs(fresh: Dict[str, Any], committed: Dict[str, Any]) -> List[str]:
+    """Fields outside ``TIMING_FIELDS`` whose values differ, sorted."""
+    fields = (set(fresh) | set(committed)) - TIMING_FIELDS
+    return sorted(field for field in fields if fresh.get(field) != committed.get(field))
+
+
 def load(path: Path) -> Dict[str, Any]:
     with path.open() as handle:
         return json.load(handle)
@@ -200,7 +255,7 @@ def check(paths: Sequence[Path]) -> int:
 
 
 def promote(fresh_dir: Path) -> int:
-    """Copy fresh BENCH files to the repo root iff their gates moved."""
+    """Copy fresh BENCH files to the repo root iff a gate or an output moved."""
     fresh_files = sorted(fresh_dir.glob("BENCH_*.json"))
     if not fresh_files:
         print(f"No BENCH_*.json under {fresh_dir}; run the benchmarks first.")
@@ -212,10 +267,14 @@ def promote(fresh_dir: Path) -> int:
         committed_path = REPO_ROOT / fresh_path.name
         if committed_path.exists():
             committed = load(committed_path)
-            if gate_snapshot(name, fresh) == gate_snapshot(name, committed):
-                print(f"  keep  {fresh_path.name}: gates unchanged (timing noise only)")
+            outputs = changed_outputs(fresh, committed)
+            if gate_snapshot(name, fresh) != gate_snapshot(name, committed):
+                reason = "gate fields changed"
+            elif outputs:
+                reason = "outputs changed: " + ", ".join(outputs)
+            else:
+                print(f"  keep  {fresh_path.name}: timing noise only")
                 continue
-            reason = "gate fields changed"
         else:
             reason = "new benchmark"
         shutil.copyfile(fresh_path, committed_path)

@@ -12,7 +12,8 @@ specific metrics such as requests/second or the converged objective).  The
 copies at the repository root are the committed *gate records*; refresh
 them deliberately with ``python benchmarks/compare.py promote``, which
 copies a fresh file over the committed one only when a gate verdict or a
-gate-relevant field moved -- raw timing noise never lands in the diff.
+non-timing field (objective, counts, latencies) moved -- raw timing noise
+never lands in the diff.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def write_bench_json(name: str, payload: Dict[str, Any]) -> Path:
     same uniform serializer behind ``RunResult.to_json`` and the CLI's
     ``--json`` mode, so numpy scalars/arrays in metric dicts are handled.
     ``benchmarks/compare.py`` checks the gate fields of these files and
-    promotes them to the committed root records only when a gate moves.
+    promotes them to the committed root records only when a gate verdict
+    or a non-timing output moves.
     """
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     return write_json(OUT_DIR / f"BENCH_{name}.json", payload)

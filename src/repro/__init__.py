@@ -55,7 +55,7 @@ from repro.api.registry import (
 from repro.exec import ResultCache, sweep_map, sweep_scan
 from repro.policies import ChunkCachingPolicy
 
-__version__ = "3.0.0"
+__version__ = "3.1.0"
 
 __all__ = [
     # facade

@@ -14,6 +14,18 @@ must be an integer.  Algorithm 1 of the paper tackles it heuristically:
    i.e. round its cache allocation *down*; re-solve and repeat until every
    file's allocation is integral.
 
+Each Prob-Pi solve starts from the previous one's iterate and its spectral
+step (:func:`~repro.core.prob_pi.solve_projected_gradient`); the step is
+carried across the rounding re-solves and the outer iterations of one
+:meth:`CacheOptimizer.optimize` call, and every call starts afresh, so a
+result depends only on the call's inputs.
+
+Under heavy load the outer trace need not be monotone: a later rounded
+iterate can be worse than an earlier one.  ``optimize`` therefore keeps
+the rounded iterate with the lowest objective at its optimal ``z`` and
+finishes that one with the greedy refill, instead of the last iterate.
+``objective_trace`` still records every iterate in order.
+
 The implementation operates on the vectorised system for speed and returns a
 :class:`~repro.core.placement.CachePlacement` plus a full convergence trace
 (used to regenerate Fig. 3).
@@ -46,7 +58,7 @@ class OptimizationResult:
 
     @property
     def final_objective(self) -> float:
-        """The last objective value reached."""
+        """The objective of the returned placement (the best rounded iterate)."""
         return self.placement.objective
 
 
@@ -153,17 +165,17 @@ class CacheOptimizer:
                 np.zeros(system.num_files),
                 system.k_values.copy(),
             )
+        # ---- Prob Z: optimal auxiliary variables for the current pi.
         z = system.optimal_z(pi)
-        objective = system.objective(pi, z)
-        trace: List[float] = [objective]
+        trace: List[float] = [system.objective(pi, z)]
         inner_solves = 0
+        step = 1.0
         converged = False
         outer_iterations = 0
+        best_pi, best_z, best_objective = pi, z, math.inf
 
         for outer in range(self._max_outer_iterations):
             outer_iterations = outer + 1
-            # ---- Prob Z: optimal auxiliary variables for the current pi.
-            z = system.optimal_z(pi)
             # ---- Prob Pi with iterative integer rounding.
             lower_sums = np.zeros(system.num_files)
             upper_sums = system.k_values.copy()
@@ -177,8 +189,10 @@ class CacheOptimizer:
                     upper_sums,
                     initial_pi=current_pi,
                     max_iterations=self._pi_max_iterations,
+                    initial_step=step,
                 )
                 inner_solves += 1
+                step = result.step
                 current_pi = result.pi
                 sums = system.file_sums(current_pi)
                 fractional = sums - np.floor(sums + 1e-9)
@@ -205,6 +219,12 @@ class CacheOptimizer:
             pi = current_pi
             new_objective = system.objective(pi, z)
             trace.append(new_objective)
+            # ---- Prob Z for the rounded pi: the next outer iteration's z,
+            # and the objective the best rounded iterate is chosen by.
+            z = system.optimal_z(pi)
+            rounded_objective = system.objective(pi, z)
+            if rounded_objective < best_objective:
+                best_pi, best_z, best_objective = pi, z, rounded_objective
             if abs(trace[-2] - new_objective) <= self._tolerance:
                 converged = True
                 break
@@ -214,7 +234,7 @@ class CacheOptimizer:
         # "identify the files whose latency benefits most from caching and
         # construct chunks until the cache is filled up", as the paper
         # describes the heuristic -- assigns any remaining capacity.
-        pi, z = self._greedy_refill(pi, z)
+        pi, z = self._greedy_refill(best_pi, best_z)
         final_objective = system.objective(pi, z)
         if final_objective < trace[-1] - 1e-12:
             trace.append(final_objective)
@@ -242,6 +262,8 @@ class CacheOptimizer:
         its chunks into the cache (its scheduling probabilities are scaled
         down proportionally, which preserves feasibility), and applies the
         best move.  The loop stops when the cache is full or no move helps.
+        ``z`` must be ``optimal_z(pi)``; the returned pair keeps that
+        relation, so callers never recompute Prob Z for it.
         """
         system = self._system
         capacity = self._model.cache_capacity
@@ -274,7 +296,7 @@ class CacheOptimizer:
             mask = system.pair_file == best
             pi[mask] *= scale[best]
             z = system.optimal_z(pi)
-        return pi, system.optimal_z(pi)
+        return pi, z
 
     # ------------------------------------------------------------------
     # Result assembly
@@ -303,6 +325,9 @@ def build_placement(
 
     Parameters
     ----------
+    z:
+        ``optimal_z(pi)``; the recorded bounds and objective are evaluated
+        at it.
     cached_chunks:
         Optional integer per-file cache allocation to record instead of
         rounding ``k_i - sum_j pi_{i,j}``; the online re-solver passes its
@@ -326,7 +351,7 @@ def build_placement(
             reducible = min(int(cached[file_position]), overflow)
             cached[file_position] -= reducible
             overflow -= reducible
-    bounds = system.per_file_bounds(pi, system.optimal_z(pi))
+    bounds = system.per_file_bounds(pi, z)
     objective = float(np.dot(system.weights, bounds))
 
     state = system.to_state(pi, z)

@@ -17,9 +17,13 @@ safeguarded Newton steps.  Each solve builds one projection for its bounds
 and reuses it, so every projection starts its root searches from the
 previous one's solution:
 
-* :func:`solve_projected_gradient` -- Armijo-backtracking projected
-  gradient descent, the Prob-Pi step of Algorithm 1
-  (:class:`repro.core.algorithm.CacheOptimizer`).
+* :func:`solve_projected_gradient` -- spectral projected gradient with
+  Armijo backtracking, the Prob-Pi step of Algorithm 1
+  (:class:`repro.core.algorithm.CacheOptimizer`).  Its trial step is the
+  Barzilai-Borwein scale of the last move (Barzilai & Borwein, IMA J.
+  Numer. Anal. 8, 1988; Birgin, Martinez & Raydan, SIAM J. Optim. 10,
+  2000), and it returns that step so the next solve of the rounding
+  cascade starts from it.
 * :func:`solve_fista` -- accelerated projected gradient (FISTA with a
   monotone restart and backtracking Lipschitz estimation), the workhorse of
   the online re-solver in :mod:`repro.control.resolve`; it accepts a custom
@@ -53,6 +57,9 @@ class ProbPiResult:
     #: Final backtracked Lipschitz estimate (FISTA only); carrying it into
     #: the next warm solve skips the initial step-size search.
     lipschitz: float = 0.0
+    #: Trial step for the next iteration (projected gradient only); carrying
+    #: it into the next solve starts that solve at the local curvature scale.
+    step: float = 1.0
 
 
 def solve_projected_gradient(
@@ -67,7 +74,23 @@ def solve_projected_gradient(
     tolerance: float = 1e-6,
     initial_step: float = 1.0,
 ) -> ProbPiResult:
-    """Projected gradient descent with Armijo backtracking.
+    """Spectral projected gradient descent with Armijo backtracking.
+
+    Each iteration projects ``pi - step * gradient``, backtracks along the
+    feasible segment to the projected point until the Armijo test holds,
+    and then sets the next ``step`` to the Barzilai-Borwein (BB1) scale
+    ``s.s / s.y`` of the accepted move ``s`` and the gradient change ``y``.
+    Where the objective does not curve up along the move (``s.y <= 0``) the
+    BB1 scale is undefined and the step grows by x1.5 instead.  Either way
+    the step is clamped to ``[1e-10, 1e10]``, so it stays finite and
+    positive when carried from solve to solve.  The solve stops when the projected move or the
+    objective improvement falls below ``tolerance`` (the latter relative to
+    ``max(|objective|, 1)``), or after ``max_iterations``.
+
+    The result's ``step`` is the trial step the next iteration would have
+    used.  Algorithm 1 passes it as ``initial_step`` to its next solve,
+    whose problem differs only by a few pinned files or a new ``z``, so
+    that solve starts at the local curvature scale instead of at 1.
 
     Parameters
     ----------
@@ -81,6 +104,9 @@ def solve_projected_gradient(
         Warm-start point; defaults to the projected no-cache start.
     fixed_mask, fixed_values:
         Per-pair coordinates frozen by the integer-rounding outer loop.
+    initial_step:
+        Trial step of the first iteration; pass a previous result's
+        ``step`` to carry it.
     """
     if initial_pi is None:
         initial_pi = system.initial_pi()
@@ -119,17 +145,25 @@ def solve_projected_gradient(
             converged = True
             break
         improvement = objective - candidate_objective
-        pi = pi + alpha * direction
+        move = alpha * direction
+        pi = pi + move
+        previous_gradient = gradient
         objective, gradient = system.objective_and_gradient(pi, z)
-        if backtracks == 0:
+        curvature = float(np.dot(move, gradient - previous_gradient))
+        if curvature > 0.0:
+            step = float(np.dot(move, move)) / curvature
+        else:
             step *= 1.5
-        elif backtracks > 2:
-            step *= 0.5
+        step = min(max(step, 1e-10), 1e10)
         if improvement < tolerance * max(abs(objective), 1.0):
             converged = True
             break
     return ProbPiResult(
-        pi=pi, objective=objective, iterations=iterations_used, converged=converged
+        pi=pi,
+        objective=objective,
+        iterations=iterations_used,
+        converged=converged,
+        step=step,
     )
 
 

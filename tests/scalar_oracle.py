@@ -192,23 +192,32 @@ def solve_slsqp(
     def gradient(pi: np.ndarray) -> np.ndarray:
         return system.objective_and_gradient(pi, z)[1]
 
+    # Every constraint is linear, so each carries its exact Jacobian row;
+    # without one SLSQP differences every constraint numerically per pair.
     constraints = []
     target_total = system.required_total()
     constraints.append(
-        {"type": "ineq", "fun": lambda pi: float(pi.sum()) - target_total}
+        {
+            "type": "ineq",
+            "fun": lambda pi: float(pi.sum()) - target_total,
+            "jac": lambda pi: np.ones(system.num_pairs),
+        }
     )
     for file_position in range(system.num_files):
         mask = system.pair_file == file_position
+        row = mask.astype(float)
         constraints.append(
             {
                 "type": "ineq",
                 "fun": (lambda pi, m=mask, u=float(upper_sums[file_position]): u - float(pi[m].sum())),
+                "jac": (lambda pi, r=row: -r),
             }
         )
         constraints.append(
             {
                 "type": "ineq",
                 "fun": (lambda pi, m=mask, l=float(lower_sums[file_position]): float(pi[m].sum()) - l),
+                "jac": (lambda pi, r=row: r),
             }
         )
     bounds = [(0.0, 1.0)] * system.num_pairs

@@ -10,7 +10,7 @@ from repro import exceptions
 
 class TestPublicApi:
     def test_version_exposed(self):
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "3.1.0"
 
     def test_top_level_exports_resolve(self):
         for name in repro.__all__:
